@@ -908,8 +908,10 @@ and gen_local_call ctx n ji args dest =
     emit ctx (Isa.Jsp (Isa.t1, Isa.L ji.j_label));
     deliver_call_result ctx n dest
   end
-  else if dest = Ret && ctx.can_tail then
-    (* JUMP: a parameter-passing goto; control never returns here *)
+  else if dest = Ret then
+    (* JUMP: a parameter-passing goto; control never returns here.  The
+       goto stays in this frame, so what forbids a TCALL out of it (pdl
+       slots, a frame that unwinds) does not apply. *)
     emit ctx (Isa.Jmpa (Isa.L ji.j_label))
   else
     (* the annotation phases promised every call site is function-tail;

@@ -61,44 +61,6 @@ type t = {
 
 let svc_interp = Isa.register_svc "*:SQ-INTERP-TRAMPOLINE"
 
-(* One interpreter per runtime, found by physical identity.  The table
-   is domain-local: a runtime never migrates between domains, and batch
-   worker domains must not retain (or scan) each other's worlds. *)
-let instances : (Rt.t * t) list ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref [])
-
-let find_instance rt = List.find_opt (fun (r, _) -> r == rt) !(S1_par.Dls.get instances)
-
-let create rt =
-  match find_instance rt with
-  | Some (_, it) -> it
-  | None ->
-      let image =
-        Cpu.load rt.Rt.cpu S1_machine.Asm.[ Instr (Isa.Svc svc_interp); Instr Isa.Ret ]
-      in
-      let name = Rt.intern rt "%INTERPRETED-FUNCTION" in
-      let trampoline =
-        Obj.code ~where:`Static rt.Rt.obj ~entry:image.S1_machine.Asm.org ~name ~min_args:0
-          ~max_args:(-1)
-      in
-      let it =
-        { rt; consts = Hashtbl.create 64; closures = [||]; n_closures = 0; trampoline;
-          macros = Hashtbl.create 8; fuel = -1 }
-      in
-      let tbl = S1_par.Dls.get instances in
-      tbl := (rt, it) :: !tbl;
-      (* Root the constant cache, all captured environments, catch tags,
-         and the runtime's protected list. *)
-      Heap.set_extra_roots rt.Rt.heap (fun () ->
-          let acc = ref rt.Rt.protected in
-          Hashtbl.iter (fun _ w -> acc := w :: !acc) it.consts;
-          Hashtbl.iter (fun _ w -> acc := w :: !acc) it.macros;
-          for i = 0 to it.n_closures - 1 do
-            List.iter (fun (_, cell) -> acc := !cell :: !acc) it.closures.(i).ce_env
-          done;
-          List.iter (fun f -> acc := f.Rt.c_tag :: !acc) rt.Rt.catches;
-          !acc);
-      it
-
 let constant it node_id sexp =
   match Hashtbl.find_opt it.consts node_id with
   | Some w -> w
@@ -305,10 +267,36 @@ and apply_closure it idx (args : int list) : int =
   in
   loop lam env args
 
-(* Trampoline service ---------------------------------------------------------- *)
+(* Public API -------------------------------------------------------------------- *)
 
-let install_trampoline rt it =
+(* Boot a world and build its interpreter: the trampoline stub is loaded
+   right after the builtins, and the trampoline service wraps this
+   world's dispatcher.  The interpreter is reachable only from its world
+   (the service closure) and from its owner, so both die together. *)
+let boot ?config () =
+  let rt = Builtins.boot ?config () in
   let cpu = rt.Rt.cpu in
+  let image = Cpu.load cpu S1_machine.Asm.[ Instr (Isa.Svc svc_interp); Instr Isa.Ret ] in
+  let name = Rt.intern rt "%INTERPRETED-FUNCTION" in
+  let trampoline =
+    Obj.code ~where:`Static rt.Rt.obj ~entry:image.S1_machine.Asm.org ~name ~min_args:0
+      ~max_args:(-1)
+  in
+  let it =
+    { rt; consts = Hashtbl.create 64; closures = [||]; n_closures = 0; trampoline;
+      macros = Hashtbl.create 8; fuel = -1 }
+  in
+  (* Root the constant cache, all captured environments, catch tags,
+     and the runtime's protected list. *)
+  Heap.set_extra_roots rt.Rt.heap (fun () ->
+      let acc = ref rt.Rt.protected in
+      Hashtbl.iter (fun _ w -> acc := w :: !acc) it.consts;
+      Hashtbl.iter (fun _ w -> acc := w :: !acc) it.macros;
+      for i = 0 to it.n_closures - 1 do
+        List.iter (fun (_, cell) -> acc := !cell :: !acc) it.closures.(i).ce_env
+      done;
+      List.iter (fun f -> acc := f.Rt.c_tag :: !acc) rt.Rt.catches;
+      !acc);
   let prev = cpu.Cpu.service in
   cpu.Cpu.service <-
     (fun c id ->
@@ -318,27 +306,8 @@ let install_trampoline rt it =
         let result = apply_closure it idx args in
         Cpu.set_reg cpu Isa.a result
       end
-      else prev c id)
-
-(* Public API -------------------------------------------------------------------- *)
-
-let for_runtime rt =
-  match find_instance rt with
-  | Some (_, it) -> it
-  | None ->
-      let it = create rt in
-      install_trampoline rt it;
-      it
-
-let boot ?config () = for_runtime (Builtins.boot ?config ())
-
-let release it =
-  (* Forget a world booted for a one-shot evaluation (the differential
-     fuzzer boots thousands): the instance table would otherwise retain
-     every runtime — simulated memory included — for the process
-     lifetime. *)
-  let tbl = S1_par.Dls.get instances in
-  tbl := List.filter (fun (r, _) -> r != it.rt) !tbl
+      else prev c id);
+  it
 
 let eval_node it node =
   try eval it [] node with

@@ -302,6 +302,8 @@ let register_svc name =
       Hashtbl.replace svc_by_name name id;
       id
 
+let svc_of_name name = Hashtbl.find_opt svc_by_name name
+
 let svc_name id =
   match Hashtbl.find_opt svc_names id with
   | Some n -> n

@@ -177,5 +177,11 @@ val pp_instr : Format.formatter -> instr -> unit
 
 val svc_name : int -> string
 val register_svc : string -> int
-(** Allocate a service id with a symbolic [*:SQ-...] name (used by the
-    runtime at setup; the table is global and append-only). *)
+(** Allocate a service id with a symbolic [*:SQ-...] name.  Called only
+    at module initialization (the runtime's services and natives, the
+    interpreter trampoline); the table is global and append-only, and
+    read-only once the program runs. *)
+
+val svc_of_name : string -> int option
+(** The id registered under a name, if any: how a serialized image
+    resolves the services its code names. *)

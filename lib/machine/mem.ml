@@ -10,22 +10,16 @@ let default_config =
   { sq_words = 64; static_words = 1 lsl 16; heap_words = 1 lsl 18; stack_words = 1 lsl 15;
     bind_words = 1 lsl 13 }
 
-type t = { id : int; cfg : config; words : int array; mutable static_next : int }
-
-(* Atomic: memories are created from concurrent batch worker domains,
-   and the id only needs to be unique, not dense. *)
-let next_id = Atomic.make 0
+type t = { cfg : config; words : int array; mutable static_next : int }
 
 let create ?(config = default_config) () =
   let total =
     config.sq_words + config.static_words + config.heap_words + config.stack_words
     + config.bind_words
   in
-  let id = Atomic.fetch_and_add next_id 1 + 1 in
-  { id; cfg = config; words = Array.make total 0; static_next = config.sq_words }
+  { cfg = config; words = Array.make total 0; static_next = config.sq_words }
 
 let config m = m.cfg
-let id m = m.id
 let size m = Array.length m.words
 
 let read m addr =

@@ -26,9 +26,6 @@ type t
 val create : ?config:config -> unit -> t
 val config : t -> config
 
-val id : t -> int
-(** Process-unique identity, for cheap keying of per-memory tables. *)
-
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 (** Bounds-checked word access. @raise Failure on out-of-range address. *)

@@ -80,12 +80,21 @@ type snapshot = (string * int) list
 
 let snapshot ?(t = default ()) () : snapshot = counters ~t ()
 
+(* Both lists are sorted by name (as {!counters} returns them), so one
+   linear merge pairs each counter with its prior value: the cost is
+   linear in the registry size, not quadratic. *)
 let diff ~(before : snapshot) ?(t = default ()) () : snapshot =
-  List.filter_map
-    (fun (name, after) ->
-      let prior = match List.assoc_opt name before with Some v -> v | None -> 0 in
-      if after <> prior then Some (name, after - prior) else None)
-    (counters ~t ())
+  let rec merge before after acc =
+    match after with
+    | [] -> List.rev acc
+    | (name, v) :: after' -> (
+        match before with
+        | (b, _) :: before' when compare b name < 0 -> merge before' after acc
+        | (b, prior) :: before' when b = name ->
+            merge before' after' (if v <> prior then (name, v - prior) :: acc else acc)
+        | _ -> merge before after' (if v <> 0 then (name, v) :: acc else acc))
+  in
+  merge before (counters ~t ()) []
 
 let current_path t = String.concat "/" (List.rev t.stack)
 

@@ -19,7 +19,7 @@
     slot to [MOVP] exactly as in Table 4.
 
     The analysis also remembers {e which} consumer forbade the stack box
-    (the escape table below), so [--remarks] can say "this float went to
+    (a per-run escape table), so [--remarks] can say "this float went to
     the heap because it is returned from the function" rather than just
     that it did. *)
 
@@ -38,14 +38,13 @@ let unsafe_prims =
 
 let authorizes_args fname = not (List.mem fname unsafe_prims)
 
-(* node id -> why its PDLOKP is -1: the escaping consumer, for remarks *)
-let escape_reason : (int, string) Hashtbl.t = Hashtbl.create 64
-
 (* Top-down: [auth] is the id of the authorizing node, or -1; [why]
-   names the consumer responsible whenever [auth] is -1. *)
-let rec okp (n : node) (auth : int) (why : string) : unit =
+   names the consumer responsible whenever [auth] is -1, and is recorded
+   in [escapes] (node id -> escaping consumer, for remarks). *)
+let rec okp escapes (n : node) (auth : int) (why : string) : unit =
+  let okp = okp escapes in
   n.n_pdlokp <- auth;
-  if auth < 0 then Hashtbl.replace escape_reason n.n_id why;
+  if auth < 0 then Hashtbl.replace escapes n.n_id why;
   match n.kind with
   | Term _ | Var _ | Go _ -> ()
   | Setq (v, e) ->
@@ -172,8 +171,8 @@ let boxes_a_float (n : node) =
 
 let run (root : node) : unit =
   S1_obs.Obs.with_span "pdlnum" (fun () ->
-      Hashtbl.reset escape_reason;
-      okp root (-1) "returned from the function";
+      let escapes = Hashtbl.create 64 in
+      okp escapes root (-1) "returned from the function";
       ignore (nump root);
       (* nodes where both analyses agree a stack box would be legal: the
          code generator turns the POINTER-wanted numeric ones into pdl
@@ -188,7 +187,7 @@ let run (root : node) : unit =
           (fun n ->
             if boxes_a_float n && n.n_pdlokp < 0 then
               let why =
-                match Hashtbl.find_opt escape_reason n.n_id with
+                match Hashtbl.find_opt escapes n.n_id with
                 | Some w -> w
                 | None -> "lifetime not bounded by a safe consumer"
               in

@@ -45,22 +45,17 @@ let list_of rt items =
   List.fold_right (fun x acc -> Rt.with_protected rt [ acc ] (fun () -> cons rt x acc)) items
     rt.Rt.nil
 
-(* Installation ------------------------------------------------------------- *)
+(* Registration --------------------------------------------------------------- *)
 
-let installed : (int, unit) Hashtbl.t = Hashtbl.create 4
-
-let names_ref : string list ref = ref []
-
-let install rt =
-  if Hashtbl.mem installed (S1_machine.Mem.id rt.Rt.mem) then ()
-  else begin
-    Hashtbl.replace installed (S1_machine.Mem.id rt.Rt.mem) ();
-    let collected = ref [] in
-    let def name min_args max_args impl =
-      collected := name :: !collected;
-      ignore (Rt.register_native rt ~name ~min_args ~max_args impl)
-    in
-    let nil = rt.Rt.nil in
+(* Every builtin is registered once, at module initialization, in this
+   order; {!boot} loads their stubs into each new world in the same
+   order, so code addresses are a pure function of the list. *)
+let natives : Rt.native list =
+  let defined = ref [] in
+  let def name min_args max_args impl =
+    defined := Rt.define_native ~name ~min_args ~max_args impl :: !defined
+  in
+  begin
     let arg1 = function [ a ] -> a | _ -> assert false in
     let arg2 = function [ a; b ] -> (a, b) | _ -> assert false in
 
@@ -78,18 +73,18 @@ let install rt =
         let rec go = function
           | [ last ] -> last
           | x :: rest -> Rt.with_protected rt [ x ] (fun () -> cons rt x (go rest))
-          | [] -> nil
+          | [] -> rt.Rt.nil
         in
         go args);
     def "APPEND" 0 (-1) (fun rt args ->
         let rec app2 xs tail =
-          if xs = nil then tail
+          if xs = rt.Rt.nil then tail
           else
             let rest = app2 (cdr rt xs) tail in
             Rt.with_protected rt [ rest ] (fun () -> cons rt (car rt xs) rest)
         in
         let rec go = function
-          | [] -> nil
+          | [] -> rt.Rt.nil
           | [ last ] -> last
           | x :: rest ->
               let tl = go rest in
@@ -98,32 +93,32 @@ let install rt =
         go args);
     def "REVERSE" 1 1 (fun rt args ->
         let rec go xs acc =
-          if xs = nil then acc
+          if xs = rt.Rt.nil then acc
           else Rt.with_protected rt [ acc ] (fun () -> go (cdr rt xs) (cons rt (car rt xs) acc))
         in
-        go (arg1 args) nil);
+        go (arg1 args) rt.Rt.nil);
     def "LENGTH" 1 1 (fun rt args ->
-        let rec go xs n = if xs = nil then n else go (cdr rt xs) (n + 1) in
+        let rec go xs n = if xs = rt.Rt.nil then n else go (cdr rt xs) (n + 1) in
         Obj.fixnum (go (arg1 args) 0));
     def "NTH" 2 2 (fun rt args ->
         let n, xs = arg2 args in
-        let rec go xs k = if xs = nil then nil else if k = 0 then car rt xs else go (cdr rt xs) (k - 1) in
+        let rec go xs k = if xs = rt.Rt.nil then rt.Rt.nil else if k = 0 then car rt xs else go (cdr rt xs) (k - 1) in
         go xs (strict_fixnum rt n));
     def "NTHCDR" 2 2 (fun rt args ->
         let n, xs = arg2 args in
-        let rec go xs k = if k = 0 || xs = nil then xs else go (cdr rt xs) (k - 1) in
+        let rec go xs k = if k = 0 || xs = rt.Rt.nil then xs else go (cdr rt xs) (k - 1) in
         go xs (strict_fixnum rt n));
     def "LAST" 1 1 (fun rt args ->
         let rec go xs =
-          if xs = nil then nil
-          else if cdr rt xs = nil || not (Obj.is_cons rt.Rt.obj (cdr rt xs)) then xs
+          if xs = rt.Rt.nil then rt.Rt.nil
+          else if cdr rt xs = rt.Rt.nil || not (Obj.is_cons rt.Rt.obj (cdr rt xs)) then xs
           else go (cdr rt xs)
         in
         go (arg1 args));
     def "ASSOC" 2 2 (fun rt args ->
         let key, alist = arg2 args in
         let rec go xs =
-          if xs = nil then nil
+          if xs = rt.Rt.nil then rt.Rt.nil
           else
             let pair = car rt xs in
             if Obj.is_cons rt.Rt.obj pair && Rt.equal rt (car rt pair) key then pair
@@ -133,7 +128,7 @@ let install rt =
     def "ASSQ" 2 2 (fun rt args ->
         let key, alist = arg2 args in
         let rec go xs =
-          if xs = nil then nil
+          if xs = rt.Rt.nil then rt.Rt.nil
           else
             let pair = car rt xs in
             if Obj.is_cons rt.Rt.obj pair && car rt pair = key then pair else go (cdr rt xs)
@@ -142,16 +137,16 @@ let install rt =
     def "MEMBER" 2 2 (fun rt args ->
         let key, xs = arg2 args in
         let rec go xs =
-          if xs = nil then nil else if Rt.equal rt (car rt xs) key then xs else go (cdr rt xs)
+          if xs = rt.Rt.nil then rt.Rt.nil else if Rt.equal rt (car rt xs) key then xs else go (cdr rt xs)
         in
         go xs);
     def "MEMQ" 2 2 (fun rt args ->
         let key, xs = arg2 args in
-        let rec go xs = if xs = nil then nil else if car rt xs = key then xs else go (cdr rt xs) in
+        let rec go xs = if xs = rt.Rt.nil then rt.Rt.nil else if car rt xs = key then xs else go (cdr rt xs) in
         go xs);
     def "COPY-LIST" 1 1 (fun rt args ->
         let rec go xs =
-          if xs = nil || not (Obj.is_cons rt.Rt.obj xs) then xs
+          if xs = rt.Rt.nil || not (Obj.is_cons rt.Rt.obj xs) then xs
           else
             let rest = go (cdr rt xs) in
             Rt.with_protected rt [ rest ] (fun () -> cons rt (car rt xs) rest)
@@ -163,11 +158,11 @@ let install rt =
           if Obj.is_cons rt.Rt.obj d then last_cons d else xs
         in
         let rec go = function
-          | [] -> nil
+          | [] -> rt.Rt.nil
           | [ last ] -> last
           | x :: rest ->
               let tail = go rest in
-              if x = nil then tail
+              if x = rt.Rt.nil then tail
               else begin
                 Obj.set_cdr rt.Rt.obj (last_cons x) tail;
                 x
@@ -177,7 +172,7 @@ let install rt =
     def "REMOVE" 2 2 (fun rt args ->
         let item, xs = arg2 args in
         let rec go xs =
-          if xs = nil then nil
+          if xs = rt.Rt.nil then rt.Rt.nil
           else
             let hd = car rt xs in
             let rest = go (cdr rt xs) in
@@ -188,14 +183,14 @@ let install rt =
     def "COUNT" 2 2 (fun rt args ->
         let item, xs = arg2 args in
         let rec go xs n =
-          if xs = nil then n
+          if xs = rt.Rt.nil then n
           else go (cdr rt xs) (if Rt.equal rt (car rt xs) item then n + 1 else n)
         in
         Obj.fixnum (go xs 0));
     def "POSITION" 2 2 (fun rt args ->
         let item, xs = arg2 args in
         let rec go xs i =
-          if xs = nil then nil
+          if xs = rt.Rt.nil then rt.Rt.nil
           else if Rt.equal rt (car rt xs) item then Obj.fixnum i
           else go (cdr rt xs) (i + 1)
         in
@@ -233,13 +228,13 @@ let install rt =
         c);
 
     (* --- predicates --- *)
-    def "NULL" 1 1 (fun rt args -> Rt.bool_word rt (arg1 args = nil));
-    def "NOT" 1 1 (fun rt args -> Rt.bool_word rt (arg1 args = nil));
+    def "NULL" 1 1 (fun rt args -> Rt.bool_word rt (arg1 args = rt.Rt.nil));
+    def "NOT" 1 1 (fun rt args -> Rt.bool_word rt (arg1 args = rt.Rt.nil));
     def "ATOM" 1 1 (fun rt args -> Rt.bool_word rt (not (Obj.is_cons rt.Rt.obj (arg1 args))));
     def "CONSP" 1 1 (fun rt args -> Rt.bool_word rt (Obj.is_cons rt.Rt.obj (arg1 args)));
     def "LISTP" 1 1 (fun rt args ->
         let w = arg1 args in
-        Rt.bool_word rt (w = nil || Obj.is_cons rt.Rt.obj w));
+        Rt.bool_word rt (w = rt.Rt.nil || Obj.is_cons rt.Rt.obj w));
     def "SYMBOLP" 1 1 (fun rt args -> Rt.bool_word rt (Obj.tag_of (arg1 args) = Tags.Symbol));
     def "NUMBERP" 1 1 (fun rt args -> Rt.bool_word rt (Tags.is_number (Obj.tag_of (arg1 args))));
     def "INTEGERP" 1 1 (fun rt args ->
@@ -446,7 +441,7 @@ let install rt =
         let s, key = arg2 args in
         let plist = S1_machine.Mem.read rt.Rt.mem (Obj.symbol_plist_cell rt.Rt.obj s) in
         let rec go xs =
-          if xs = nil then nil
+          if xs = rt.Rt.nil then rt.Rt.nil
           else if car rt xs = key then car rt (cdr rt xs)
           else go (cdr rt (cdr rt xs))
         in
@@ -464,7 +459,7 @@ let install rt =
     (* --- vectors --- *)
     def "MAKE-VECTOR" 1 2 (fun rt args ->
         let n = strict_fixnum rt (List.hd args) in
-        let fill = match args with [ _; f ] -> f | _ -> nil in
+        let fill = match args with [ _; f ] -> f | _ -> rt.Rt.nil in
         Obj.vector rt.Rt.obj (Array.make n fill));
     def "VECTOR" 0 (-1) (fun rt args -> Obj.vector rt.Rt.obj (Array.of_list args));
     def "VECTOR-LENGTH" 1 1 (fun rt args -> Obj.fixnum (Obj.vector_length rt.Rt.obj (arg1 args)));
@@ -543,14 +538,11 @@ let install rt =
         arg1 args);
     def "TERPRI" 0 0 (fun rt _args ->
         Buffer.add_char rt.Rt.out '\n';
-        nil);
-
-    names_ref := List.rev !collected
-  end
+        rt.Rt.nil)
+  end;
+  List.rev !defined
 
 let boot ?config () =
   let rt = Rt.create ?config () in
-  install rt;
+  List.iter (fun n -> ignore (Rt.load_native rt n)) natives;
   rt
-
-let names () = List.sort String.compare !names_ref

@@ -1,11 +1,12 @@
 (** The standard library: Lisp primitives implemented as native code
     objects.
 
-    Each builtin is an OCaml function wrapped by {!Rt.register_native}
-    into a callable code object (a [SVC]+[RET] stub), installed in the
-    symbol's function cell.  Compiled code and the interpreter reach the
-    same implementations, so the two agree bit-for-bit on library
-    semantics.
+    Each builtin is an OCaml function registered once, at module
+    initialization, with {!Rt.define_native}; {!boot} loads every
+    builtin's callable code object (a [SVC]+[RET] stub) into the new
+    world's symbol function cells, writing only to that world.  Compiled
+    code and the interpreter reach the same implementations, so the two
+    agree bit-for-bit on library semantics.
 
     The set covers the MACLISP-family core the paper's examples use:
     list structure, predicates, the full generic arithmetic tower, the
@@ -14,11 +15,4 @@
     and printing. *)
 
 val boot : ?config:S1_machine.Mem.config -> unit -> Rt.t
-(** Create a runtime with all builtins installed. *)
-
-val install : Rt.t -> unit
-(** Install into an existing runtime (idempotent). *)
-
-val names : unit -> string list
-(** All builtin function names (upper case); populated once a runtime has
-    been booted. *)
+(** Create a runtime with all builtins loaded. *)

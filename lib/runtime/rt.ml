@@ -262,7 +262,12 @@ let certify_word rt w =
     | _ -> err "certify: unexpected stack pointer of type %s" (Tags.name tag)
   else w
 
-let register_native rt ~name ~min_args ~max_args impl =
+(* A native is registered once, at module initialization: its service
+   id and handler are process-wide.  Each world then loads its own stub
+   ({!load_native}), so booting writes only to the world. *)
+type native = { n_name : string; n_min : int; n_max : int; n_svc : int }
+
+let define_native ~name ~min_args ~max_args impl =
   let id = Isa.register_svc (Printf.sprintf "*:SQ-NATIVE-%s" name) in
   Hashtbl.replace handlers id (fun rt ->
       (* Natives may store arguments into heap structure, so certify any
@@ -274,7 +279,10 @@ let register_native rt ~name ~min_args ~max_args impl =
       else
         let result = with_protected rt args (fun () -> impl rt args) in
         Cpu.set_reg rt.cpu Isa.a result);
-  let image = Cpu.load rt.cpu S1_machine.Asm.[ Instr (Isa.Svc id); Instr Isa.Ret ] in
+  { n_name = name; n_min = min_args; n_max = max_args; n_svc = id }
+
+let load_native rt { n_name = name; n_min = min_args; n_max = max_args; n_svc } =
+  let image = Cpu.load rt.cpu S1_machine.Asm.[ Instr (Isa.Svc n_svc); Instr Isa.Ret ] in
   Cpu.add_symbol rt.cpu ~lo:image.S1_machine.Asm.org ~hi:(image.S1_machine.Asm.org + 2) ~name;
   let sym = intern rt name in
   let fobj =
@@ -600,10 +608,15 @@ let create ?config () =
   (* Observability hooks: the runtime event timeline runs on this
      world's deterministic cycle clock and labels events with the
      CPU's current call path; heap allocation volume charges to the
-     allocating call path.  Like the Obs registry, the timeline is
-     process-global — the most recently created world owns the clock. *)
-  S1_obs.Timeline.set_clock (fun () -> cpu.Cpu.stats.Cpu.cycles);
-  S1_obs.Timeline.set_path_provider (fun () -> Cpu.shadow_path cpu);
+     allocating call path.  The timeline is domain-local and the most
+     recently created world owns its clock, which holds the CPU (and
+     through its service closure, the world) only weakly: a dropped
+     world stays collectable. *)
+  let owner = Weak.create 1 in
+  Weak.set owner 0 (Some cpu);
+  let with_owner f default () = match Weak.get owner 0 with Some c -> f c | None -> default in
+  S1_obs.Timeline.set_clock (with_owner (fun c -> c.Cpu.stats.Cpu.cycles) 0);
+  S1_obs.Timeline.set_path_provider (with_owner Cpu.shadow_path "");
   Heap.set_alloc_hook heap (fun words -> Cpu.shadow_charge_alloc cpu words);
   (* Service dispatch *)
   let allocating_svcs =

@@ -61,8 +61,11 @@ val certify_word : t -> int -> int
     the control stack (a pdl number); all other values pass through. *)
 
 val create : ?config:S1_machine.Mem.config -> unit -> t
-(** Boot a fresh world: NIL and T, service handlers, GC root hooks.
-    (Standard-library functions are installed by {!Builtins.boot}.) *)
+(** Boot a fresh world: NIL and T, service dispatch, GC root hooks.
+    (Standard-library functions are loaded by {!Builtins.boot}.)  The
+    service handlers themselves are registered once, at module
+    initialization, so creating a world writes to no process-global
+    table. *)
 
 (** {1 Symbols} *)
 
@@ -115,11 +118,19 @@ val set_function : t -> int -> int -> unit
 val function_of : t -> int -> int
 (** Contents of a symbol's function cell. @raise Lisp_error if undefined. *)
 
-val register_native : t -> name:string -> min_args:int -> max_args:int ->
-  (t -> int list -> int) -> int
-(** Wrap an OCaml function as a callable code object (a [SVC]+[RET] stub
-    with arity checking), install it in the symbol's function cell, and
-    return the function word. *)
+type native
+(** An OCaml function registered as a Lisp-callable service. *)
+
+val define_native : name:string -> min_args:int -> max_args:int ->
+  (t -> int list -> int) -> native
+(** Register an OCaml function as the service [*:SQ-NATIVE-name] with
+    arity checking.  Call at module initialization only: the service id
+    and handler tables are process-wide and read-only afterwards. *)
+
+val load_native : t -> native -> int
+(** Load a native's callable code object (a [SVC]+[RET] stub) into one
+    world, install it in the symbol's function cell, and return the
+    function word.  Writes only to that world. *)
 
 val call : t -> int -> int list -> int
 (** Invoke a Lisp function object on argument words, running the

@@ -468,7 +468,10 @@ let instr_of_json (j : Json.t) : Isa.instr =
   | [ Json.Str "CALL"; f; n ] -> Isa.Call (o f, dint n)
   | [ Json.Str "TCALL"; f; n ] -> Isa.Tcall (o f, dint n)
   | [ Json.Str "RET" ] -> Isa.Ret
-  | [ Json.Str "SVC"; name ] -> Isa.Svc (Isa.register_svc (dstr name))
+  | [ Json.Str "SVC"; name ] -> (
+      match Isa.svc_of_name (dstr name) with
+      | Some id -> Isa.Svc id
+      | None -> fail "unknown service %s" (dstr name))
   | [ Json.Str "VDOT"; d; x; y; n ] -> Isa.Vdot (o d, o x, o y, o n)
   | [ Json.Str "VADD"; d; x; y; n ] -> Isa.Vadd (o d, o x, o y, o n)
   | [ Json.Str "HALT" ] -> Isa.Halt

@@ -232,6 +232,27 @@ let test_loader_rejects_garbage () =
     | _ -> false);
   expect_error "JSON, wrong shape" "{\"x\": 1}" (function
     | Image.Malformed _ -> true
+    | _ -> false);
+  (* a well-formed, correctly checksummed blob whose code names a
+     service this process never registered: a foreign image is
+     rejected, never registered as a new service *)
+  let img, _ = cold_image () in
+  let foreign =
+    match S1_obs.Json.parse (Image.save img) with
+    | S1_obs.Json.Obj [ schema; _; ("payload", S1_obs.Json.Str payload) ] ->
+        let payload =
+          Str.global_replace (Str.regexp_string "*:SQ-GENERIC-MUL")
+            "*:SQ-NO-SUCH-SERVICE" payload
+        in
+        S1_obs.Json.to_string ~pretty:false
+          (S1_obs.Json.Obj
+             [ schema;
+               ("checksum", S1_obs.Json.Str (Digest.to_hex (Digest.string payload)));
+               ("payload", S1_obs.Json.Str payload) ])
+    | _ -> Alcotest.fail "unexpected envelope shape"
+  in
+  expect_error "unknown service" foreign (function
+    | Image.Malformed m -> m = "unknown service *:SQ-NO-SUCH-SERVICE"
     | _ -> false)
 
 let test_loader_rejects_wrong_schema () =
@@ -507,6 +528,58 @@ let test_batch_warm_over_shared_cache () =
   Alcotest.(check int)
     "all warm lookups hit" (List.length files) (Obs.count "serve.hits")
 
+(* World lifecycle -------------------------------------------------------------- *)
+
+(* A world is an ordinary value: once its owner is dropped, nothing in
+   the process may keep it (and its simulated memory) alive.  Each
+   helper builds a world out of line and returns only a weak pointer to
+   its runtime. *)
+
+let weakly (rt : Rt.t) =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some rt);
+  w
+
+let expect_collected what w =
+  Gc.full_major ();
+  Alcotest.(check bool) (what ^ ": world collected") false (Weak.check w 0)
+
+let[@inline never] compiler_world () =
+  let c = C.create () in
+  ignore (C.eval_string c sample_src);
+  weakly c.C.rt
+
+let[@inline never] interp_world () =
+  let w = ref None in
+  let outcome =
+    S1_fuzz.Oracle.run_interp
+      ~prepare:(fun it -> w := Some (weakly it.S1_interp.Interp.rt))
+      (Reader.parse_string sample_src)
+  in
+  (match outcome with
+  | S1_fuzz.Oracle.Value _ -> ()
+  | _ -> Alcotest.fail "interpreter run failed");
+  Option.get !w
+
+let[@inline never] serve_world () =
+  let w = ref None in
+  let r =
+    Serve.compile_file
+      ~prepare:(fun c -> w := Some (weakly c.C.rt))
+      Serve.default_cfg ~file:"<test>" sample_src
+  in
+  Alcotest.(check bool) "unit compiled" true (r.Serve.r_exec <> None);
+  Option.get !w
+
+let test_world_dies_with_compiler () =
+  expect_collected "Compiler.create" (compiler_world ())
+
+let test_world_dies_with_interp_run () =
+  expect_collected "Oracle.run_interp" (interp_world ())
+
+let test_world_dies_with_unit () =
+  expect_collected "Serve.compile_file" (serve_world ())
+
 (* Serve fuzz (small smoke; CI runs the full 200) ----------------------------- *)
 
 let test_fuzz_smoke () =
@@ -536,6 +609,15 @@ let () =
             test_loader_rejects_wrong_schema;
           Alcotest.test_case "rejects corruption" `Quick
             test_loader_rejects_corruption;
+        ] );
+      ( "lifecycle",
+        [
+          Alcotest.test_case "world dies with its compiler" `Quick
+            test_world_dies_with_compiler;
+          Alcotest.test_case "world dies with its interpreter run" `Quick
+            test_world_dies_with_interp_run;
+          Alcotest.test_case "world dies with its unit" `Quick
+            test_world_dies_with_unit;
         ] );
       ( "keys",
         [
