@@ -122,63 +122,6 @@ let write_results file =
   Printf.printf "\nWrote %d measurement rows to %s (%d history entries)\n"
     (List.length !records) file (List.length history)
 
-(* regression-check mode: rerun the smoke experiments and compare every
-   deterministic counter against the committed BENCH_RESULTS.json.  The
-   simulator's counts are exact, so the tolerance is zero; wall_ns is the
-   only nondeterministic field and is excluded.  The baseline file is
-   never rewritten in this mode. *)
-let deterministic_fields =
-  [ "cycles"; "instructions"; "movs"; "mem_traffic"; "calls"; "tcalls"; "svcs";
-    "stack_high"; "heap_words"; "result" ]
-
-let regression_check baseline_file : bool =
-  let src =
-    let ic = open_in baseline_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let doc = Json.parse src in
-  let rows = match Json.member "rows" doc with Some (Json.Arr rows) -> rows | _ -> [] in
-  let key row =
-    match
-      ( Option.bind (Json.member "experiment" row) Json.to_str,
-        Option.bind (Json.member "name" row) Json.to_str )
-    with
-    | Some e, Some n -> (e, n)
-    | _ -> ("?", "?")
-  in
-  let baseline = List.map (fun r -> (key r, r)) rows in
-  let failures = ref 0 in
-  let checked = ref 0 in
-  List.iter
-    (fun fresh ->
-      let e, n = key fresh in
-      match List.assoc_opt (e, n) baseline with
-      | None ->
-          incr failures;
-          Printf.printf "REGRESSION %s / %s: not in baseline %s\n" e n baseline_file
-      | Some base ->
-          incr checked;
-          List.iter
-            (fun field ->
-              let want = Json.member field base and got = Json.member field fresh in
-              if want <> got then begin
-                incr failures;
-                let show = function
-                  | Some j -> Json.to_string ~pretty:false j
-                  | None -> "<absent>"
-                in
-                Printf.printf "REGRESSION %s / %s: %s was %s, now %s\n" e n field
-                  (show want) (show got)
-              end)
-            deterministic_fields)
-    (List.rev !records);
-  Printf.printf "\nregression-check: %d rows compared against %s, %d mismatches\n" !checked
-    baseline_file !failures;
-  !failures = 0 && !checked > 0
-
 (* folded=DIR argv option: export each measurement row's call-path
    profile as a flamegraph folded-stack file under DIR, one file per
    row, named after the experiment and label. *)
@@ -270,7 +213,7 @@ let t4_e7 () =
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
   let listing, ts = C.listing_of c (Reader.parse_one testfn_src) in
-  print_string (S1_transform.Transcript.to_string ts);
+  print_string (S1_obs.Remark.transcript ts);
   section "T4: Generated code for TESTFN (paper Table 4)";
   print_endline listing;
   let v = C.eval_string c "(testfn 1.0 2.0 4.0)" in
@@ -288,7 +231,7 @@ let e5 () =
     C.listing_of c
       (Reader.parse_one "(defun choose (a b c e1 e2) (if (and a (or b c)) e1 e2))")
   in
-  print_string (S1_transform.Transcript.to_string ts);
+  print_string (S1_obs.Remark.transcript ts);
   print_endline listing
 
 (* ------------------------------------------------------------------ *)
@@ -804,7 +747,6 @@ let smoke_experiments () =
 let () =
   let want_wall = Array.exists (fun a -> a = "wall") Sys.argv in
   let smoke = Array.exists (fun a -> a = "smoke") Sys.argv in
-  let regression = Array.exists (fun a -> a = "regression-check") Sys.argv in
   let serve_cache = ref None in
   Array.iter
     (fun a ->
@@ -818,10 +760,6 @@ let () =
       serve_cache_bench dir;
       exit 0
   | None -> ());
-  if regression then begin
-    smoke_experiments ();
-    exit (if regression_check "BENCH_RESULTS.json" then 0 else 1)
-  end;
   if smoke then begin
     (* quick CI subset: one structural table plus the cheap quantitative
        experiments, still emitting a full BENCH_RESULTS.json *)

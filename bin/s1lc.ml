@@ -370,7 +370,8 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   in
   let c = C.create ~options ~rules ~cse ~strict () in
   Remark.reset ();
-  if remark_kinds <> None || remarks_json <> None then Remark.set_enabled true;
+  if remark_kinds <> None || remarks_json <> None || trace <> None then
+    Remark.set_enabled true;
   (* measure only the user's forms: boot noise (builtin stubs, prelude)
      stays out of the counters and the profile *)
   Obs.reset ();
@@ -405,7 +406,6 @@ let run phases listing transcript tns interpret repl stats timings profile metri
     S1_obs.Timeline.set_enabled true
   end;
   if annotate then c.C.record_code <- true;
-  if trace <> None then S1_transform.Transcript.set_enabled c.C.journal true;
   (* source text per input (pseudo-)file, for annotated listings *)
   let sources : (string, string array) Hashtbl.t = Hashtbl.create 4 in
   if phases then begin
@@ -414,8 +414,8 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   end;
   let process_form form =
     if listing || transcript || tns then begin
-      let l, t = C.listing_of c form in
-      if transcript then print_string (S1_transform.Transcript.to_string t);
+      let l, journal = C.listing_of c form in
+      if transcript then print_string (Remark.transcript journal);
       if tns then
         (match c.C.last_tn_report with Some r -> print_string r | None -> ());
       if listing then print_endline l;
@@ -484,6 +484,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       close_in ic;
       process_string ~file src)
     files;
+  (* the fuzz and chaos drivers compile in this domain too; their
+     rewrites stay out of --trace, which journals the user's forms *)
+  let drivers_from = Remark.mark () in
   (* differential fuzzing: seeded generation, interpreter-vs-compiled
      oracle across the optimization lattice, shrunk counterexamples *)
   let fuzz_failed =
@@ -512,6 +515,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
         print_string (S1_fuzz.Chaos.summary report);
         report.S1_fuzz.Chaos.c_failures <> []
   in
+  let drivers_to = Remark.mark () in
   let out = Rt.output c.C.rt in
   if out <> "" then print_string out;
   if repl then begin
@@ -572,7 +576,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   | None -> ()
   | Some file ->
       let oc = open_out file in
-      output_string oc (S1_transform.Transcript.to_jsonl c.C.journal);
+      output_string oc
+        (Remark.trace_jsonl
+           (List.filteri (fun i _ -> i < drivers_from || i >= drivers_to) (Remark.entries ())));
       close_out oc);
   (match remark_kinds with
   | None -> ()

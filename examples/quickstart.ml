@@ -51,7 +51,7 @@ let () =
     C.listing_of c (Reader.parse_one "(defun poly (x) (declare (single-float x)) (+$f (*$f x x) x 1.0))")
   in
   print_endline "\n  Optimizer transcript for (defun poly (x) ... (+$f (*$f x x) x 1.0)):";
-  print_string (S1_transform.Transcript.to_string transcript);
+  print_string (S1_obs.Remark.transcript transcript);
   print_endline "  Generated S-1 assembly:";
   String.split_on_char '\n' listing
   |> List.iter (fun l -> Printf.printf "    %s\n" l);

@@ -1453,11 +1453,12 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
      then
        if ctx.opt.pdl_numbers then begin
          Hashtbl.replace ctx.pdl_slot n.n_id (Tn.alloc_scratch_slot ctx.pool 1);
-         S1_obs.Remark.passed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
-           "fresh float boxed on the stack (pdl number): lifetime bounded by a safe \
-            consumer"
+         if S1_obs.Remark.enabled () then
+           S1_obs.Remark.passed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
+             "fresh float boxed on the stack (pdl number): lifetime bounded by a safe \
+              consumer"
        end
-       else
+       else if S1_obs.Remark.enabled () then
          S1_obs.Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
            ~args:[ ("why", S1_obs.Remark.Str "pdl numbers disabled") ]
            "fresh float heap-boxed: pdl numbers disabled");
@@ -1816,11 +1817,12 @@ let compile_function (w : world) ?(options = default_options) ~(name : string) (
             !(on_fallback ()) ~pass:"peephole" ~reason:(Printexc.to_string e);
             prog
         else begin
-          S1_obs.Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION"
-            ~node:lam_node.n_id ?loc:lam_node.n_loc
-            ~args:[ ("fn", S1_obs.Remark.Str name) ]
-            (Printf.sprintf
-               "function %s not peephole-optimized: branch tensioning disabled" name);
+          if S1_obs.Remark.enabled () then
+            S1_obs.Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION"
+              ~node:lam_node.n_id ?loc:lam_node.n_loc
+              ~args:[ ("fn", S1_obs.Remark.Str name) ]
+              (Printf.sprintf
+                 "function %s not peephole-optimized: branch tensioning disabled" name);
           prog
         end
       in

@@ -73,11 +73,12 @@ let retarget_instr ?loc at counter (i : Isa.instr) : Isa.instr =
         let l' = resolve at 8 l in
         if l' <> l then begin
           incr counter;
-          Remark.passed ~pass:"peephole" ~rule:"BRANCH-TENSION" ?loc
-            ~args:[ ("from", Remark.Str l); ("to", Remark.Str l') ]
-            (Printf.sprintf "jump chain collapsed: %s reaches %s directly" l l')
+          if Remark.enabled () then
+            Remark.passed ~pass:"peephole" ~rule:"BRANCH-TENSION" ?loc
+              ~args:[ ("from", Remark.Str l); ("to", Remark.Str l') ]
+              (Printf.sprintf "jump chain collapsed: %s reaches %s directly" l l')
         end
-        else
+        else if Remark.enabled () then
           (match Option.bind (Hashtbl.find_opt at l) cond_jump_name with
           | Some blocker ->
               Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION" ?loc

@@ -27,7 +27,6 @@ open S1_ir
 module Convert = S1_frontend.Convert
 module Simplify = S1_transform.Simplify
 module Rules = S1_transform.Rules
-module Transcript = S1_transform.Transcript
 module Gen = S1_codegen.Gen
 module Obs = S1_obs.Obs
 
@@ -79,16 +78,13 @@ type t = {
   mutable cse : bool;
       (** run the optional common-subexpression-elimination phase (the
           paper's §4.3, off in the shipped compiler) *)
-  mutable keep_transcript : bool;
-  mutable last_transcript : Transcript.t option;
+  mutable keep_listing : bool;
+      (** keep each unit's assembly listing and TN report
+          ([last_listing], [last_tn_report]) *)
   mutable last_listing : string option;
   mutable last_tn_report : string option;
   macros : (string, int) Hashtbl.t;
       (** DEFMACRO expanders: macro name -> compiled function word *)
-  journal : Transcript.t;
-      (** persistent whole-session rewrite journal ([s1lc --trace]); each
-          compilation unit is a {!Transcript.since} slice of it.  Disabled
-          by default; [keep_transcript] enables recording per-unit. *)
   mutable locs : S1_sexp.Reader.loctab option;
       (** source positions for forms about to be compiled *)
   mutable record_code : bool;
@@ -124,12 +120,10 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     unit_disabled = [];
     rules;
     cse;
-    keep_transcript = false;
-    last_transcript = None;
+    keep_listing = false;
     last_listing = None;
     last_tn_report = None;
     macros = Hashtbl.create 8;
-    journal = Transcript.create ~enabled:false ();
     locs = None;
     record_code = false;
     code_log = [];
@@ -306,15 +300,15 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
   if List.mem pass c.unit_disabled then ()
   else begin
     let snap = Freshen.snapshot root in
-    let remark_mark = S1_obs.Remark.mark () in
+    let journal_mark = S1_obs.Remark.mark () in
     let budget = 200_000 + (1_000 * Node.size root) in
     let rollback ~verify_fail ~reason ~loc =
       if verify_fail then Obs.incr "robust.verify_fail";
       Node.restore root snap;
       S1_analysis.Analyze.refresh root;
-      (* the pass's remarks describe decisions on a tree that no longer
+      (* the pass's remarks and rewrites describe a tree that no longer
          exists: the rollback takes them too *)
-      S1_obs.Remark.drop_since remark_mark;
+      S1_obs.Remark.drop_since journal_mark;
       record_incident c ~pass ~reason ~loc
     in
     match
@@ -342,22 +336,16 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
 
 (* Run the full machine-independent and machine-dependent pipeline on a
    converted lambda node. *)
-let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
+let run_phases (c : t) (lam_node : Node.node) : unit =
   Obs.with_span "phases" (fun () ->
-      (* record into the session journal; the per-unit transcript is the
-         slice of events this compilation appends *)
-      let ts = c.journal in
-      let was_enabled = Transcript.enabled ts in
-      Transcript.set_enabled ts (was_enabled || c.keep_transcript);
-      let m = Transcript.mark ts in
       c.unit_disabled <- [];
       guarded c ~pass:"simplify" ~stage:Verify.After_simplify lam_node (fun () ->
-          ignore (Simplify.run ~config:c.rules ~transcript:ts lam_node));
+          Simplify.run ~config:c.rules lam_node);
       (* CSE is a separate phase after the source-level optimizer, exactly to
          avoid the introduction/elimination thrashing the paper describes. *)
       if c.cse then
         guarded c ~pass:"cse" ~stage:Verify.After_cse lam_node (fun () ->
-            ignore (S1_transform.Cse.run ~transcript:ts lam_node));
+            ignore (S1_transform.Cse.run lam_node));
       (* Simplify/CSE leave the tree analyzed (including binding
          annotation); after a rollback the guard re-analyzed the restored
          tree, so either way the tree is analyzed here. *)
@@ -371,9 +359,7 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
          also turns off inline prims and pdl numbers for this unit, the
          certified all-POINTER configuration). *)
       if List.mem "repan" c.unit_disabled || List.mem "pdlnum" c.unit_disabled then
-        pointerize lam_node;
-      Transcript.set_enabled ts was_enabled;
-      Transcript.since ts m)
+        pointerize lam_node)
 
 (* Install an already-generated unit into the live world: load the code,
    build the function object, and patch nested-closure cells.  Returns
@@ -413,8 +399,7 @@ let load_lambda (c : t) ~name (lam_node : Node.node) : int =
   (* fill unlocated nodes from their nearest located ancestor so every
      emitted instruction can resolve to a source line *)
   Node.propagate_locs lam_node;
-  let ts = run_phases c lam_node in
-  if c.keep_transcript then c.last_transcript <- Some ts;
+  run_phases c lam_node;
   (* after a representation-level rollback the tree is fully boxed; the
      generator must not open-code prims or stack-allocate numbers on it *)
   let options =
@@ -434,7 +419,7 @@ let load_lambda (c : t) ~name (lam_node : Node.node) : int =
       (fun () -> Gen.compile_function (c.world_wrap (world_of c)) ~options ~name lam_node)
   in
   let compiled = c.unit_filter ~name compiled in
-  if c.keep_transcript then begin
+  if c.keep_listing then begin
     c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
     c.last_tn_report <- Some compiled.Gen.c_tn_report
   end;
@@ -519,26 +504,30 @@ let eval_print (c : t) (forms : Sexp.t list) : string =
 
 (* Introspection --------------------------------------------------------------- *)
 
-let listing_of (c : t) (form : Sexp.t) : string * Transcript.t =
-  let saved = c.keep_transcript in
-  c.keep_transcript <- true;
+(* Compile [form] for its listing, returning the listing and the
+   unit's journal entries (the §7 transcript is their rewrite view). *)
+let listing_of (c : t) (form : Sexp.t) : string * S1_obs.Remark.t list =
+  let saved = c.keep_listing in
+  c.keep_listing <- true;
   Fun.protect
-    ~finally:(fun () -> c.keep_transcript <- saved)
+    ~finally:(fun () -> c.keep_listing <- saved)
     (fun () ->
-      (match form with
-      | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ignore (compile_defun c form)
-      | _ ->
-          let expr =
-            Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c)
-              ?locs:c.locs form
-          in
-          let lam_node = Node.lambda ~name:"%LISTING" [] expr in
-          lam_node.Node.n_loc <- expr.Node.n_loc;
-          (match lam_node.Node.kind with
-          | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
-          | _ -> ());
-          ignore (load_lambda c ~name:"%LISTING" lam_node));
-      ( (match c.last_listing with Some l -> l | None -> ""),
-        match c.last_transcript with Some t -> t | None -> Transcript.create () ))
+      let journal =
+        S1_obs.Remark.capture (fun () ->
+            match form with
+            | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ignore (compile_defun c form)
+            | _ ->
+                let expr =
+                  Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c)
+                    ?locs:c.locs form
+                in
+                let lam_node = Node.lambda ~name:"%LISTING" [] expr in
+                lam_node.Node.n_loc <- expr.Node.n_loc;
+                (match lam_node.Node.kind with
+                | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
+                | _ -> ());
+                ignore (load_lambda c ~name:"%LISTING" lam_node))
+      in
+      ((match c.last_listing with Some l -> l | None -> ""), journal))
 
 let print_value (c : t) w = Rt.print_value c.rt w

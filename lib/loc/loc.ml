@@ -14,7 +14,7 @@ let to_string l = Printf.sprintf "%s:%d:%d" l.file l.line l.col
 
 (** Render without the column — the granularity of per-line profiles and
     annotated listings. *)
-let line_key l = Printf.sprintf "%s:%d" l.file l.line
+let line_key l = l.file ^ ":" ^ string_of_int l.line
 
 let pp fmt l = Format.pp_print_string fmt (to_string l)
 

@@ -1,9 +1,9 @@
-(** Optimization remarks: the negative space of the transcript.
+(** The decision journal: every optimization decision, and every
+    rewrite of the tree, recorded once.
 
-    The rewrite journal ({!S1_transform.Transcript}) records what the
-    optimizer {e did}; a remark records a {e decision} — including the
-    declined ones.  Every pass that can refuse an optimization reports
-    why, at the source position of the refusal:
+    An entry records a {e decision}, declined ones included.  Every
+    pass that can refuse an optimization reports why, at the source
+    position of the refusal:
 
     - [Passed]: an optimization applied (a rule fired, a TN won a
       register, a float box went to the stack);
@@ -14,17 +14,33 @@
       interposed, a duplication avoided by thunk introduction, a pass
       rollback).
 
-    The registry is a domain-local singleton like {!Obs}, disabled by
-    default so the hot paths pay one boolean test; [s1lc --remarks] and
-    the tests enable it around the unit of interest.  Remarks are
-    deduplicated on their full identity (kind, pass, rule, node, loc,
-    message): the simplifier re-examines every node each sweep, and one
-    decision should read as one remark, not one per sweep.
+    An entry that rewrote the tree also carries the rewrite: the form
+    before and after, rendered back to source.
 
-    Three renderings: a source-interleaved listing (like [--annotate]),
-    a canonical one-line-per-remark text (stable across processes —
-    node ids are excluded — used by the golden tests), and a JSONL
-    journal (schema {!schema_version}) consumed by [s1lc --diff-runs]. *)
+    The registry is a domain-local singleton like {!Obs}, disabled by
+    default so the hot paths pay one boolean test; callers render no
+    form and format no message while it is off.  [s1lc --remarks],
+    [--transcript] and [--trace], the compile service and the tests
+    enable it around the unit of interest.
+
+    Two views read the one stream:
+
+    - the {e remarks} view ({!remarks}): decisions, deduplicated on
+      their full identity (kind, pass, rule, node, loc, message) — the
+      simplifier re-examines every node each sweep, and one decision
+      should read as one remark, not one per sweep.  It renders as a
+      source-interleaved listing (like [--annotate]), a canonical
+      one-line-per-remark text (stable across processes — node ids are
+      excluded — used by the golden tests), and a JSONL journal (schema
+      {!schema_version}) consumed by [s1lc --diff-runs];
+    - the {e rewrite} view ({!rewrites}): every rewrite, never
+      deduplicated, including those that make no remark of their own
+      (META-SUBSTITUTE).  It renders as the paper's §7 compile
+      transcript ({!transcript}) and as a JSONL journal (schema
+      {!trace_schema_version}, {!trace_jsonl}) behind [s1lc --trace].
+
+    A pass that rolls back drops its entries, so neither view ever
+    shows a decision about a tree that no longer exists. *)
 
 module Loc = S1_loc.Loc
 module Json = Obs.Json
@@ -48,8 +64,18 @@ let value_to_string = function
   | Str s -> s
   | Bool b -> if b then "true" else "false"
 
+(** A rewrite of the tree, rendered back to source. *)
+type rewrite = {
+  w_seq : int;  (** order among rewrites, 0-based *)
+  w_before : string;
+  w_after : string;
+}
+
 type t = {
-  r_seq : int;  (** global order of recording, 0-based *)
+  r_seq : int;
+      (** order among remarks, 0-based; -1 on an entry the remarks view
+          omits: a rewrite with no remark of its own, or one whose remark
+          repeats an earlier decision *)
   r_kind : kind;
   r_pass : string;  (** "simplify", "cse", "repan", "pdlnum", "tnbind", "peephole", "compiler" *)
   r_rule : string;  (** decision id, e.g. "META-SUBSTITUTE", "TN-PACK" *)
@@ -57,6 +83,7 @@ type t = {
   r_loc : Loc.t option;
   r_msg : string;
   r_args : (string * value) list;
+  r_rewrite : rewrite option;
 }
 
 (* The registry: one per domain (like {!Obs}), so batch worker domains
@@ -64,13 +91,16 @@ type t = {
 type state = {
   mutable st_enabled : bool;
   mutable st_items : t list;  (* newest first *)
+  mutable st_len : int;  (* List.length st_items *)
   mutable st_next_seq : int;
+  mutable st_next_rewrite : int;
   st_seen : (string, unit) Hashtbl.t;
 }
 
 let state_key : state S1_par.Dls.t =
   S1_par.Dls.create (fun () ->
-      { st_enabled = false; st_items = []; st_next_seq = 0; st_seen = Hashtbl.create 64 })
+      { st_enabled = false; st_items = []; st_len = 0; st_next_seq = 0; st_next_rewrite = 0;
+        st_seen = Hashtbl.create 64 })
 
 let st () = S1_par.Dls.get state_key
 
@@ -80,7 +110,9 @@ let enabled () = (st ()).st_enabled
 let reset () =
   let s = st () in
   s.st_items <- [];
+  s.st_len <- 0;
   s.st_next_seq <- 0;
+  s.st_next_rewrite <- 0;
   Hashtbl.reset s.st_seen
 
 let identity_key ~kind ~pass ~rule ~node ~loc msg =
@@ -88,49 +120,104 @@ let identity_key ~kind ~pass ~rule ~node ~loc msg =
     (match loc with Some l -> Loc.to_string l | None -> "-")
     msg
 
-let record ~kind ~pass ~rule ?(node = -1) ?loc ?(args = []) msg =
+let push s ~seq ~kind ~pass ~rule ~node ~loc ~args ~rewrite msg =
+  let rewrite =
+    Option.map
+      (fun (before, after) ->
+        s.st_next_rewrite <- s.st_next_rewrite + 1;
+        { w_seq = s.st_next_rewrite - 1; w_before = before; w_after = after })
+      rewrite
+  in
+  s.st_items <-
+    { r_seq = seq; r_kind = kind; r_pass = pass; r_rule = rule; r_node = node; r_loc = loc;
+      r_msg = msg; r_args = args; r_rewrite = rewrite }
+    :: s.st_items;
+  s.st_len <- s.st_len + 1
+
+(* A repeated decision still journals its rewrite: rewrites are never
+   deduplicated. *)
+let record ~kind ~pass ~rule ?(node = -1) ?loc ?(args = []) ?rewrite msg =
   let s = st () in
   if s.st_enabled then begin
     let key = identity_key ~kind ~pass ~rule ~node ~loc msg in
     if not (Hashtbl.mem s.st_seen key) then begin
       Hashtbl.replace s.st_seen key ();
-      s.st_items <-
-        { r_seq = s.st_next_seq; r_kind = kind; r_pass = pass; r_rule = rule; r_node = node;
-          r_loc = loc; r_msg = msg; r_args = args }
-        :: s.st_items;
-      s.st_next_seq <- s.st_next_seq + 1
+      s.st_next_seq <- s.st_next_seq + 1;
+      push s ~seq:(s.st_next_seq - 1) ~kind ~pass ~rule ~node ~loc ~args ~rewrite msg
     end
+    else if rewrite <> None then
+      push s ~seq:(-1) ~kind ~pass ~rule ~node ~loc ~args ~rewrite msg
   end
 
-let passed ~pass ~rule ?node ?loc ?args msg = record ~kind:Passed ~pass ~rule ?node ?loc ?args msg
+let passed ~pass ~rule ?node ?loc ?args ?rewrite msg =
+  record ~kind:Passed ~pass ~rule ?node ?loc ?args ?rewrite msg
+
 let missed ~pass ~rule ?node ?loc ?args msg = record ~kind:Missed ~pass ~rule ?node ?loc ?args msg
 
 let analysis ~pass ~rule ?node ?loc ?args msg =
   record ~kind:Analysis ~pass ~rule ?node ?loc ?args msg
 
-let remarks () = List.rev (st ()).st_items
+(** A rewrite that makes no remark: journaled for the rewrite view only. *)
+let rewrite ~pass ~rule ?(node = -1) ?loc ~before ~after () =
+  let s = st () in
+  if s.st_enabled then
+    push s ~seq:(-1) ~kind:Passed ~pass ~rule ~node ~loc ~args:[]
+      ~rewrite:(Some (before, after)) ""
+
+(** Every entry, in recording order. *)
+let entries () = List.rev (st ()).st_items
+
+(** The remarks view. *)
+let remarks () = List.filter (fun r -> r.r_seq >= 0) (entries ())
 
 (** {1 Rollback scoping}
 
-    A pass that rolls back must take its remarks with it: the decisions
-    it reported describe a tree that no longer exists.  The driver marks
-    before the pass body and drops on restore. *)
+    A pass that rolls back must take its entries with it: the decisions
+    it reported and the rewrites it made describe a tree that no longer
+    exists.  The driver marks before the pass body and drops on
+    restore. *)
 
-let mark () = (st ()).st_next_seq
+let mark () = (st ()).st_len
+
+(** The entries recorded since [m], in recording order. *)
+let since m =
+  let s = st () in
+  List.rev (List.filteri (fun i _ -> i < s.st_len - m) s.st_items)
 
 let drop_since m =
   let s = st () in
-  s.st_items <- List.filter (fun r -> r.r_seq < m) s.st_items;
-  (* rebuild the dedup table so an identical decision on the retried
-     (degraded) compilation path is not silently suppressed *)
-  Hashtbl.reset s.st_seen;
-  List.iter
-    (fun r ->
-      Hashtbl.replace s.st_seen
-        (identity_key ~kind:r.r_kind ~pass:r.r_pass ~rule:r.r_rule ~node:r.r_node
-           ~loc:r.r_loc r.r_msg)
-        ())
-    s.st_items
+  if m < s.st_len then begin
+    s.st_items <- List.filteri (fun i _ -> i >= s.st_len - m) s.st_items;
+    s.st_len <- m;
+    (* rebuild the dedup table so an identical decision on the retried
+       (degraded) compilation path is not silently suppressed *)
+    Hashtbl.reset s.st_seen;
+    List.iter
+      (fun r ->
+        if r.r_seq >= 0 then
+          Hashtbl.replace s.st_seen
+            (identity_key ~kind:r.r_kind ~pass:r.r_pass ~rule:r.r_rule ~node:r.r_node
+               ~loc:r.r_loc r.r_msg)
+            ())
+      s.st_items
+  end
+
+(** [capture f] runs [f] with the journal on and returns the entries
+    it recorded.  A journal that was off is left as it was found: the
+    entries go to the caller, not to the registry. *)
+let capture f =
+  let s = st () in
+  let was = s.st_enabled and m = mark () in
+  s.st_enabled <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      if not was then begin
+        drop_since m;
+        s.st_enabled <- false
+      end)
+    (fun () ->
+      f ();
+      since m)
 
 (** {1 The JSONL journal} *)
 
@@ -147,6 +234,14 @@ let value_of_json = function
   | Json.Bool b -> Bool b
   | other -> Str (Json.to_string ~pretty:false other)
 
+let json_of_loc = function
+  | None -> Json.Null
+  | Some l ->
+      Json.Obj
+        [
+          ("file", Json.Str l.Loc.file); ("line", Json.Int l.Loc.line); ("col", Json.Int l.Loc.col);
+        ]
+
 let json_of_remark (r : t) : Json.t =
   Json.Obj
     [
@@ -155,34 +250,24 @@ let json_of_remark (r : t) : Json.t =
       ("pass", Json.Str r.r_pass);
       ("rule", Json.Str r.r_rule);
       ("node_id", Json.Int r.r_node);
-      ( "loc",
-        match r.r_loc with
-        | None -> Json.Null
-        | Some l ->
-            Json.Obj
-              [
-                ("file", Json.Str l.Loc.file);
-                ("line", Json.Int l.Loc.line);
-                ("col", Json.Int l.Loc.col);
-              ] );
+      ("loc", json_of_loc r.r_loc);
       ("message", Json.Str r.r_msg);
       ("args", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) r.r_args));
     ]
 
-(* One header line carrying the schema, then one remark per line, in
-   sequence (decision) order — deterministic for a fixed input and
-   configuration. *)
-let to_jsonl (rs : t list) : string =
+(* One header line carrying the schema, then one JSON object per line. *)
+let jsonl ~schema (lines : Json.t list) : string =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Json.to_string ~pretty:false (Json.Obj [ ("schema", Json.Str schema_version) ]));
-  Buffer.add_char b '\n';
   List.iter
-    (fun r ->
-      Buffer.add_string b (Json.to_string ~pretty:false (json_of_remark r));
+    (fun j ->
+      Buffer.add_string b (Json.to_string ~pretty:false j);
       Buffer.add_char b '\n')
-    rs;
+    (Json.Obj [ ("schema", Json.Str schema) ] :: lines);
   Buffer.contents b
+
+(* One remark per line, in sequence (decision) order — deterministic for
+   a fixed input and configuration. *)
+let to_jsonl (rs : t list) : string = jsonl ~schema:schema_version (List.map json_of_remark rs)
 
 exception Journal_error of string
 
@@ -227,6 +312,7 @@ let remark_of_json (j : Json.t) : t =
     r_loc = loc;
     r_msg = str "message";
     r_args = args;
+    r_rewrite = None;
   }
 
 let of_jsonl (src : string) : t list =
@@ -250,6 +336,48 @@ let of_jsonl (src : string) : t list =
           | j -> remark_of_json j
           | exception Json.Parse_error m -> raise (Journal_error ("bad remark: " ^ m)))
         rest
+
+(** {1 The rewrite view} *)
+
+(** The entries of [es] that rewrote the tree, with their rewrites. *)
+let rewrites (es : t list) : (t * rewrite) list =
+  List.filter_map (fun r -> Option.map (fun w -> (r, w)) r.r_rewrite) es
+
+(* The paper's §7 compile-transcript text:
+
+   {v
+   ;**** Optimizing this form: (+$F A B C)
+   ;**** to be this form: (+$F (+$F C B) A)
+   ;**** courtesy of META-EVALUATE-ASSOC-COMMUT-CALL
+   v} *)
+let transcript (es : t list) : string =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (r, w) ->
+      Printf.bprintf b
+        ";**** Optimizing this form: %s\n;**** to be this form: %s\n;**** courtesy of %s\n\n"
+        w.w_before w.w_after r.r_rule)
+    (rewrites es);
+  Buffer.contents b
+
+let trace_schema_version = "s1lisp.trace/1"
+
+(* One rewrite per line, in firing order. *)
+let trace_jsonl (es : t list) : string =
+  jsonl ~schema:trace_schema_version
+    (List.map
+       (fun (r, w) ->
+         Json.Obj
+           [
+             ("seq", Json.Int w.w_seq);
+             ("pass", Json.Str r.r_pass);
+             ("rule", Json.Str r.r_rule);
+             ("node_id", Json.Int r.r_node);
+             ("loc", json_of_loc r.r_loc);
+             ("before", Json.Str w.w_before);
+             ("after", Json.Str w.w_after);
+           ])
+       (rewrites es))
 
 (** {1 Text renderings} *)
 

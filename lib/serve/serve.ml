@@ -267,7 +267,7 @@ let replay_unit (c : C.t) (u : Image.unit_img) : int =
   in
   (* mirror load_lambda's introspection bookkeeping so --annotate and
      --tn-report work identically on cache-loaded units *)
-  if c.C.keep_transcript then begin
+  if c.C.keep_listing then begin
     c.C.last_listing <- Some u.Image.u_listing;
     c.C.last_tn_report <- Some u.Image.u_tn_report
   end;

@@ -133,7 +133,7 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
     (fun tn ->
       if tn.tn_storage <> None then ()
       else begin
-        let cost_args =
+        let cost_args () =
           [
             ("tn", Remark.Str tn.tn_name);
             ("uses", Remark.Int tn.tn_uses);
@@ -151,20 +151,23 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
         in
         if not qualified then begin
           (* structurally frame-bound: no packing order could help *)
-          let why =
-            if tn.tn_must_frame then
-              "must live in the frame (pdl slot, special cache, or captured cell)"
-            else if tn.tn_across_call then
-              "lifetime crosses a call and registers are caller-destroyed"
-            else "wider than one word"
-          in
-          Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-            (Printf.sprintf "TN %s packed to memory: %s" tn.tn_name why);
+          if Remark.enabled () then begin
+            let why =
+              if tn.tn_must_frame then
+                "must live in the frame (pdl slot, special cache, or captured cell)"
+              else if tn.tn_across_call then
+                "lifetime crosses a call and registers are caller-destroyed"
+              else "wider than one word"
+            in
+            Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:(cost_args ())
+              (Printf.sprintf "TN %s packed to memory: %s" tn.tn_name why)
+          end;
           spill ()
         end
         else if naive then begin
-          Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-            (Printf.sprintf "TN %s sent to the frame: TNBIND packing disabled" tn.tn_name);
+          if Remark.enabled () then
+            Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:(cost_args ())
+              (Printf.sprintf "TN %s sent to the frame: TNBIND packing disabled" tn.tn_name);
           spill ()
         end
         else begin
@@ -177,27 +180,31 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
               tn.tn_storage <- Some (Sreg r);
               assignments := (r, tn) :: !assignments;
               incr in_regs;
-              Remark.passed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-                (Printf.sprintf "TN %s won register %s" tn.tn_name
-                   (S1_machine.Isa.reg_name r))
+              if Remark.enabled () then
+                Remark.passed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc
+                  ~args:(cost_args ())
+                  (Printf.sprintf "TN %s won register %s" tn.tn_name
+                     (S1_machine.Isa.reg_name r))
           | None ->
-              (* the cost numbers that lost: every register is held by a
-                 TN whose lifetime overlaps this one *)
-              let competitors =
-                List.length
-                  (List.filter (fun (_, tn') -> overlap tn tn') !assignments)
-              in
-              Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc
-                ~args:
-                  (cost_args
-                  @ [
-                      ("competitors", Remark.Int competitors);
-                      ("registers", Remark.Int (List.length registers));
-                    ])
-                (Printf.sprintf
-                   "TN %s lost the packing auction: all %d registers held by \
-                    overlapping higher-priority TNs"
-                   tn.tn_name (List.length registers));
+              if Remark.enabled () then begin
+                (* the cost numbers that lost: every register is held by
+                   a TN whose lifetime overlaps this one *)
+                let competitors =
+                  List.length
+                    (List.filter (fun (_, tn') -> overlap tn tn') !assignments)
+                in
+                Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc
+                  ~args:
+                    (cost_args ()
+                    @ [
+                        ("competitors", Remark.Int competitors);
+                        ("registers", Remark.Int (List.length registers));
+                      ])
+                  (Printf.sprintf
+                     "TN %s lost the packing auction: all %d registers held by \
+                      overlapping higher-priority TNs"
+                     tn.tn_name (List.length registers))
+              end;
               spill ()
         end
       end)

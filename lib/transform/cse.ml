@@ -76,7 +76,7 @@ let children_transitive (n : node) =
   !acc
 
 (* Perform one elimination; true if something changed. *)
-let eliminate_one (ts : Transcript.t) (root : node) : bool =
+let eliminate_one (root : node) : bool =
   let occs = candidates root in
   (* Prefer the most complex candidate so nested duplicates collapse
      outside-in. *)
@@ -108,10 +108,10 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
   | Some (template, entries) ->
       let nodes = List.map fst entries and paths = List.map snd entries in
       let home = lca_of paths root in
-      let before = Backtrans.to_string home in
+      let before = if S1_obs.Remark.enabled () then Backtrans.to_string home else "" in
       let ctr = S1_par.Dls.get counter in
       incr ctr;
-      let v = mkvar (Printf.sprintf "CSE-%d" !ctr) in
+      let v = mkvar ("CSE-" ^ string_of_int !ctr) in
       let init = Freshen.copy template in
       List.iter
         (fun n ->
@@ -128,14 +128,14 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
       (match home.n_loc with
       | Some l -> S1_obs.Obs.incr ("rule_at." ^ S1_loc.Loc.line_key l)
       | None -> ());
-      S1_obs.Remark.passed ~pass:"cse" ~rule:"COMMON-SUBEXPRESSION-ELIMINATION"
-        ~node:home.n_id ?loc:home.n_loc
-        ~args:[ ("occurrences", S1_obs.Remark.Int (List.length nodes)) ]
-        (Printf.sprintf "bound %s once for %d occurrences"
-           (Rules.short (Backtrans.to_string template))
-           (List.length nodes));
-      Transcript.record ts ~pass:"cse" ~node:home.n_id ?loc:home.n_loc ~before
-        ~after:(Backtrans.to_string home) ~rule:"COMMON-SUBEXPRESSION-ELIMINATION" ();
+      if S1_obs.Remark.enabled () then
+        S1_obs.Remark.passed ~pass:"cse" ~rule:"COMMON-SUBEXPRESSION-ELIMINATION"
+          ~node:home.n_id ?loc:home.n_loc
+          ~args:[ ("occurrences", S1_obs.Remark.Int (List.length nodes)) ]
+          ~rewrite:(before, Backtrans.to_string home)
+          (Printf.sprintf "bound %s once for %d occurrences"
+             (Rules.short (Backtrans.to_string template))
+             (List.length nodes));
       true
 
 (* The negative space: expressions that hash to the same fingerprint at
@@ -179,13 +179,13 @@ let report_missed (root : node) =
                 (Rules.short text)))
   end
 
-let run ?(transcript = Transcript.create ~enabled:false ()) (root : node) : int =
+let run (root : node) : int =
   S1_obs.Obs.with_span "cse" (fun () ->
       let eliminated = ref 0 in
       let continue_ = ref true in
       while !continue_ && !eliminated < 50 do
         S1_analysis.Analyze.refresh root;
-        if eliminate_one transcript root then incr eliminated else continue_ := false
+        if eliminate_one root then incr eliminated else continue_ := false
       done;
       S1_analysis.Analyze.refresh root;
       report_missed root;

@@ -1,10 +1,10 @@
 (** Source-level transformation rules (paper §5).
 
     Every rule rewrites the tree in place (back-translatable before and
-    after) and reports to the transcript under the compiler-internal
-    names the paper's §7 transcript shows ([META-SUBSTITUTE],
-    [META-CALL-LAMBDA], [META-EVALUATE-ASSOC-COMMUT-CALL],
-    [CONSIDER-REVERSING-ARGUMENTS], …).
+    after) and journals the rewrite ({!S1_obs.Remark}) under the
+    compiler-internal names the paper's §7 transcript shows
+    ([META-SUBSTITUTE], [META-CALL-LAMBDA],
+    [META-EVALUATE-ASSOC-COMMUT-CALL], [CONSIDER-REVERSING-ARGUMENTS], …).
 
     The three central rules are the paper's decomposition of
     beta-conversion:
@@ -49,8 +49,6 @@ let nothing =
     deadcode = false; sinc = false; integrate = false; typed_specialize = false;
     max_integrate_size = 0; max_duplicate_size = 0 }
 
-type ctx = { cfg : config; ts : Transcript.t }
-
 module Remark = S1_obs.Remark
 
 (* Remark messages embed source forms; keep them one-line short. *)
@@ -64,15 +62,16 @@ let count_fire rule (n : node) =
   | Some l -> S1_obs.Obs.incr ("rule_at." ^ S1_loc.Loc.line_key l)
   | None -> ()
 
-let fire ctx rule (n : node) (new_kind : kind) =
-  let before = Backtrans.to_string n in
+(* The journal renders the rewritten form only while it is on. *)
+let fire rule (n : node) (new_kind : kind) =
+  let before = if Remark.enabled () then Backtrans.to_string n else "" in
   n.kind <- new_kind;
   n.n_dirty <- true;
   count_fire rule n;
-  Remark.passed ~pass:"simplify" ~rule ~node:n.n_id ?loc:n.n_loc
-    (Printf.sprintf "optimized %s" (short before));
-  Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
-    ~after:(Backtrans.to_string n) ~rule ();
+  if Remark.enabled () then
+    Remark.passed ~pass:"simplify" ~rule ~node:n.n_id ?loc:n.n_loc
+      ~rewrite:(before, Backtrans.to_string n)
+      (Printf.sprintf "optimized %s" (short before));
   true
 
 (* Constant truthiness of a quoted term. *)
@@ -132,7 +131,7 @@ let assigned root v =
   iter (fun n -> match n.kind with Setq (v', _) when v' == v -> c := true | _ -> ()) root;
   !c
 
-let substitutable ctx root (p : param) (arg : node) =
+let substitutable cfg root (p : param) (arg : node) =
   let v = p.p_var in
   let refs = occurrences root v in
   (* every `No carries its reason out as a Missed remark at the binding
@@ -157,7 +156,7 @@ let substitutable ctx root (p : param) (arg : node) =
          single-reference rule, gated by the integrate toggle; multi-
          reference local functions stay bound and compile as Jump/Fast
          lambdas. *)
-      match arg.kind with Lambda _ -> ctx.cfg.integrate | _ -> true
+      match arg.kind with Lambda _ -> cfg.integrate | _ -> true
     in
     (* Single-reference substitution of a pure (possibly allocating)
        argument, provided the reference is not under an inner lambda
@@ -209,22 +208,21 @@ let subst_refs v arg body =
     body;
   !count
 
-let rule_beta ctx (n : node) =
-  if not ctx.cfg.beta then false
+let rule_beta cfg (n : node) =
+  if not cfg.beta then false
   else
     match n.kind with
     (* Rule 1: ((lambda () body)) => body *)
     | Call ({ kind = Lambda { l_params = []; l_body; _ }; _ }, []) ->
-        fire ctx "META-CALL-LAMBDA" n l_body.kind
+        fire "META-CALL-LAMBDA" n l_body.kind
     | Call (({ kind = Lambda l; _ } as f), args) when plain_let l args ->
         (* Try substitution (rule 3) and unused-parameter elimination
            (rule 2) pairwise. *)
         let changed = ref false in
-        let subst_notes = ref [] in
         let keep =
           List.map2
             (fun p arg ->
-              match substitutable ctx n p arg with
+              match substitutable cfg n p arg with
               | `No -> Some (p, arg)
               | `Unused ->
                   if Effects.deletable arg then begin
@@ -234,14 +232,7 @@ let rule_beta ctx (n : node) =
                   else Some (p, arg)
               | `Everywhere ->
                   let c = subst_refs p.p_var arg l.l_body in
-                  if c > 0 then begin
-                    changed := true;
-                    subst_notes :=
-                      Printf.sprintf ";%d substitution%s for the variable %s" c
-                        (if c = 1 then "" else "s")
-                        p.p_var.v_name
-                      :: !subst_notes
-                  end;
+                  if c > 0 then changed := true;
                   p.p_var.v_refs <- [];
                   if Effects.deletable arg then begin
                     changed := true;
@@ -252,7 +243,7 @@ let rule_beta ctx (n : node) =
         in
         if not !changed then false
         else begin
-          let before = Backtrans.to_string n in
+          let before = if Remark.enabled () then Backtrans.to_string n else "" in
           let kept = List.filter_map Fun.id keep in
           let params = List.map fst kept and args' = List.map snd kept in
           l.l_params <- params;
@@ -260,8 +251,9 @@ let rule_beta ctx (n : node) =
            else n.kind <- Call (f, args'));
           n.n_dirty <- true;
           count_fire "META-SUBSTITUTE" n;
-          Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
-            ~after:(Backtrans.to_string n) ~rule:"META-SUBSTITUTE" ();
+          if Remark.enabled () then
+            Remark.rewrite ~pass:"simplify" ~rule:"META-SUBSTITUTE" ~node:n.n_id ?loc:n.n_loc
+              ~before ~after:(Backtrans.to_string n) ();
           true
         end
     | _ -> false
@@ -270,8 +262,8 @@ let rule_beta ctx (n : node) =
 (* Compile-time expression evaluation: META-EVALUATE                  *)
 (* ---------------------------------------------------------------- *)
 
-let rule_fold ctx (n : node) =
-  if not ctx.cfg.fold then false
+let rule_fold cfg (n : node) =
+  if not cfg.fold then false
   else
     match n.kind with
     | Call ({ kind = Term (Sexp.Sym fname); _ }, args)
@@ -280,7 +272,7 @@ let rule_fold ctx (n : node) =
         | Some { Prims.fold = Some f; Prims.pure = true; _ } -> (
             let consts = List.filter_map constant_value args in
             match f consts with
-            | Some result -> fire ctx "META-EVALUATE" n (Term result)
+            | Some result -> fire "META-EVALUATE" n (Term result)
             | None ->
                 (* the folder refuses rather than misfold: fixnum overflow,
                    a domain error, or operand types the rule leaves to the
@@ -299,53 +291,53 @@ let rule_fold ctx (n : node) =
 (* Conditionals                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let rule_if_constant ctx (n : node) =
-  if not ctx.cfg.deadcode then false
+let rule_if_constant cfg (n : node) =
+  if not cfg.deadcode then false
   else
     match n.kind with
     | If ({ kind = Term t; _ }, x, y) -> (
         match term_truth t with
-        | Some true -> fire ctx "DEAD-CODE-ELIMINATION" n x.kind
-        | Some false -> fire ctx "DEAD-CODE-ELIMINATION" n y.kind
+        | Some true -> fire "DEAD-CODE-ELIMINATION" n x.kind
+        | Some false -> fire "DEAD-CODE-ELIMINATION" n y.kind
         | None -> false)
     | _ -> false
 
-let rule_if_simplify ctx (n : node) =
-  if not ctx.cfg.ifopt then false
+let rule_if_simplify cfg (n : node) =
+  if not cfg.ifopt then false
   else
     match n.kind with
     (* (if (not p) x y) => (if p y x) *)
     | If ({ kind = Call ({ kind = Term (Sexp.Sym ("NOT" | "NULL")); _ }, [ q ]); _ }, x, y) ->
-        fire ctx "SIMPLIFY-CONDITIONAL" n (If (q, y, x))
+        fire "SIMPLIFY-CONDITIONAL" n (If (q, y, x))
     (* (if v (if v x y) z) => (if v x z): nothing runs between the two
        tests, so the inner one is decided by the outer — safe even for
        special variables. *)
     | If (({ kind = Var v; _ } as p), { kind = If ({ kind = Var v'; _ }, x, _); _ }, z)
       when v == v' ->
-        fire ctx "SIMPLIFY-CONDITIONAL" n (If (p, x, z))
+        fire "SIMPLIFY-CONDITIONAL" n (If (p, x, z))
     (* (if v x (if v y z)) => (if v x z) *)
     | If (({ kind = Var v; _ } as p), x, { kind = If ({ kind = Var v'; _ }, _, z); _ })
       when v == v' ->
-        fire ctx "SIMPLIFY-CONDITIONAL" n (If (p, x, z))
+        fire "SIMPLIFY-CONDITIONAL" n (If (p, x, z))
     (* (if v v y) => (or-like); when v is boolean-used this is fine as is *)
     | _ -> false
 
 (* (if (if x y z) v w): the §5 distribution.  Cheap arms are duplicated
    outright; otherwise introduce the (lambda (f g) ...) pattern "to avoid
    space-wasting duplication of the code for v and w". *)
-let rule_if_of_if ctx (n : node) =
-  if not ctx.cfg.ifopt then false
+let rule_if_of_if cfg (n : node) =
+  if not cfg.ifopt then false
   else
     match n.kind with
     | If ({ kind = If (x, y, z); _ }, v, w) ->
         if
-          v.n_complexity <= ctx.cfg.max_duplicate_size
-          && w.n_complexity <= ctx.cfg.max_duplicate_size
+          v.n_complexity <= cfg.max_duplicate_size
+          && w.n_complexity <= cfg.max_duplicate_size
           && Effects.duplicable v && Effects.duplicable w
         then
           let inner_then = mk (If (y, Freshen.copy v, Freshen.copy w)) in
           let inner_else = mk (If (z, Freshen.copy v, Freshen.copy w)) in
-          fire ctx "META-DISTRIBUTE-IF" n (If (x, inner_then, inner_else))
+          fire "META-DISTRIBUTE-IF" n (If (x, inner_then, inner_else))
         else begin
           Remark.analysis ~pass:"simplify" ~rule:"META-DISTRIBUTE-IF" ~node:n.n_id
             ?loc:n.n_loc
@@ -353,7 +345,7 @@ let rule_if_of_if ctx (n : node) =
               [
                 ("then_complexity", Remark.Int v.n_complexity);
                 ("else_complexity", Remark.Int w.n_complexity);
-                ("max_duplicate_size", Remark.Int ctx.cfg.max_duplicate_size);
+                ("max_duplicate_size", Remark.Int cfg.max_duplicate_size);
               ]
             "arms too complex (or effectful) to duplicate; distributing through thunks";
           let fv = mkvar "F" and gv = mkvar "G" in
@@ -373,35 +365,35 @@ let rule_if_of_if ctx (n : node) =
           let thunk name body_node =
             lambda ~name [] body_node
           in
-          fire ctx "META-DISTRIBUTE-IF" n
+          fire "META-DISTRIBUTE-IF" n
             (Call (wrapper, [ thunk "F-THUNK" v; thunk "G-THUNK" w ]))
         end
     | _ -> false
 
 (* Semi-canonicalizing hoists (paper §5, "not in themselves useful"). *)
-let rule_if_hoist ctx (n : node) =
-  if not ctx.cfg.ifopt then false
+let rule_if_hoist cfg (n : node) =
+  if not cfg.ifopt then false
   else
     match n.kind with
     | If ({ kind = Progn items; _ }, x, y) when items <> [] -> (
         match List.rev items with
         | last :: front_rev ->
             let inner = mk (If (last, x, y)) in
-            fire ctx "META-HOIST-PREDICATE" n (Progn (List.rev (inner :: front_rev)))
+            fire "META-HOIST-PREDICATE" n (Progn (List.rev (inner :: front_rev)))
         | [] -> false)
     | If ({ kind = Call (({ kind = Lambda l; _ } as f), args); _ }, x, y)
       when plain_let l args ->
         let inner = mk (If (l.l_body, x, y)) in
         l.l_body <- inner;
-        fire ctx "META-HOIST-PREDICATE" n (Call (f, args))
+        fire "META-HOIST-PREDICATE" n (Call (f, args))
     | _ -> false
 
 (* ---------------------------------------------------------------- *)
 (* Associative/commutative canonicalization                           *)
 (* ---------------------------------------------------------------- *)
 
-let rule_assoc ctx (n : node) =
-  if not ctx.cfg.assoc then false
+let rule_assoc cfg (n : node) =
+  if not cfg.assoc then false
   else
     match n.kind with
     | Call (({ kind = Term (Sexp.Sym fname); _ } as f), args) -> (
@@ -431,21 +423,21 @@ let rule_assoc ctx (n : node) =
                     List.fold_left (fun acc a -> call (Freshen.copy f) [ acc; a ]) seed rest
                   in
                   (match nested.kind with
-                  | Call (_, _) -> fire ctx "META-EVALUATE-ASSOC-COMMUT-CALL" n nested.kind
+                  | Call (_, _) -> fire "META-EVALUATE-ASSOC-COMMUT-CALL" n nested.kind
                   | _ -> false)
               | _ -> false)
         | Some p
           when p.Prims.associative && p.Prims.identity <> None && List.length args = 1
                && Effects.deletable n ->
             (* (+ x) => x *)
-            fire ctx "META-EVALUATE-ASSOC-COMMUT-CALL" n (List.hd args).kind
+            fire "META-EVALUATE-ASSOC-COMMUT-CALL" n (List.hd args).kind
         | Some p when p.Prims.associative && p.Prims.identity <> None && args = [] ->
-            fire ctx "META-EVALUATE-ASSOC-COMMUT-CALL" n (Term (Option.get p.Prims.identity))
+            fire "META-EVALUATE-ASSOC-COMMUT-CALL" n (Term (Option.get p.Prims.identity))
         | _ -> false)
     | _ -> false
 
-let rule_reverse_args ctx (n : node) =
-  if not ctx.cfg.assoc then false
+let rule_reverse_args cfg (n : node) =
+  if not cfg.assoc then false
   else
     match n.kind with
     | Call (({ kind = Term (Sexp.Sym fname); _ } as f), [ a; b ])
@@ -453,21 +445,21 @@ let rule_reverse_args ctx (n : node) =
         match Prims.find fname with
         | Some p when p.Prims.commutative ->
             (* constants first, to promote compile-time evaluation *)
-            fire ctx "CONSIDER-REVERSING-ARGUMENTS" n (Call (f, [ b; a ]))
+            fire "CONSIDER-REVERSING-ARGUMENTS" n (Call (f, [ b; a ]))
         | _ -> false)
     | _ -> false
 
-let rule_identity ctx (n : node) =
-  if not ctx.cfg.identities then false
+let rule_identity cfg (n : node) =
+  if not cfg.identities then false
   else
     match n.kind with
     | Call ({ kind = Term (Sexp.Sym fname); _ }, [ a; b ]) -> (
         match Prims.find fname with
         | Some { Prims.identity = Some id; _ } ->
             if is_constant a && constant_value a = Some id then
-              fire ctx "META-IDENTITY-OPERAND" n b.kind
+              fire "META-IDENTITY-OPERAND" n b.kind
             else if is_constant b && constant_value b = Some id then
-              fire ctx "META-IDENTITY-OPERAND" n a.kind
+              fire "META-IDENTITY-OPERAND" n a.kind
             else false
         | _ -> false)
     | _ -> false
@@ -476,12 +468,12 @@ let rule_identity ctx (n : node) =
 (* Progn and caseq                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let rule_progn ctx (n : node) =
-  if not ctx.cfg.deadcode then false
+let rule_progn cfg (n : node) =
+  if not cfg.deadcode then false
   else
     match n.kind with
-    | Progn [] -> fire ctx "META-PROGN-SIMPLIFY" n (Term Sexp.nil)
-    | Progn [ x ] -> fire ctx "META-PROGN-SIMPLIFY" n x.kind
+    | Progn [] -> fire "META-PROGN-SIMPLIFY" n (Term Sexp.nil)
+    | Progn [ x ] -> fire "META-PROGN-SIMPLIFY" n x.kind
     | Progn items ->
         let flattened = ref false in
         let items' =
@@ -506,13 +498,13 @@ let rule_progn ctx (n : node) =
         in
         let items'' = drop items' in
         if !flattened then
-          fire ctx "META-PROGN-SIMPLIFY" n
+          fire "META-PROGN-SIMPLIFY" n
             (match items'' with [ one ] -> one.kind | many -> Progn many)
         else false
     | _ -> false
 
-let rule_caseq_constant ctx (n : node) =
-  if not ctx.cfg.deadcode then false
+let rule_caseq_constant cfg (n : node) =
+  if not cfg.deadcode then false
   else
     match n.kind with
     | Caseq ({ kind = Term k; _ }, clauses, default) ->
@@ -520,10 +512,10 @@ let rule_caseq_constant ctx (n : node) =
         let rec pick = function
           | [] -> (
               match default with
-              | Some d -> fire ctx "DEAD-CODE-ELIMINATION" n d.kind
-              | None -> fire ctx "DEAD-CODE-ELIMINATION" n (Term Sexp.nil))
+              | Some d -> fire "DEAD-CODE-ELIMINATION" n d.kind
+              | None -> fire "DEAD-CODE-ELIMINATION" n (Term Sexp.nil))
           | (keys, body) :: rest ->
-              if List.exists matches keys then fire ctx "DEAD-CODE-ELIMINATION" n body.kind
+              if List.exists matches keys then fire "DEAD-CODE-ELIMINATION" n body.kind
               else pick rest
         in
         pick clauses
@@ -535,8 +527,8 @@ let rule_caseq_constant ctx (n : node) =
 
 let one_over_two_pi = S1_machine.Float36.single_of_float (1.0 /. (2.0 *. Float.pi))
 
-let rule_sinc ctx (n : node) =
-  if not ctx.cfg.sinc then false
+let rule_sinc cfg (n : node) =
+  if not cfg.sinc then false
   else
     match n.kind with
     | Call ({ kind = Term (Sexp.Sym ("SIN$F" | "COS$F" as fname)); _ }, [ x ]) ->
@@ -548,7 +540,7 @@ let rule_sinc ctx (n : node) =
             (term (Sexp.Sym "*$F"))
             [ x; term (Sexp.Float (one_over_two_pi, Sexp.Single)) ]
         in
-        fire ctx "META-SIN-TO-SINC" n (Call (term (Sexp.Sym target), [ scaled ]))
+        fire "META-SIN-TO-SINC" n (Call (term (Sexp.Sym target), [ scaled ]))
     | _ -> false
 
 (* ---------------------------------------------------------------- *)
@@ -584,14 +576,14 @@ let specialized_name = function
   | "=" -> Some "=$F"
   | _ -> None
 
-let rule_type_specialize ctx (n : node) =
-  if not ctx.cfg.typed_specialize then false
+let rule_type_specialize cfg (n : node) =
+  if not cfg.typed_specialize then false
   else
     match n.kind with
     | Call ({ kind = Term (Sexp.Sym fname); _ }, args)
       when args <> [] && List.for_all (fun a -> declared_rep a = Some SWFLO) args -> (
         match specialized_name fname with
-        | Some f' -> fire ctx "META-TYPE-SPECIALIZE" n (Call (term (Sexp.Sym f'), args))
+        | Some f' -> fire "META-TYPE-SPECIALIZE" n (Call (term (Sexp.Sym f'), args))
         | None -> false)
     | _ -> false
 
@@ -617,7 +609,7 @@ let transcript_rule_names =
     "DEAD-CODE-ELIMINATION";
   ]
 
-let all_rules : (string * (ctx -> node -> bool)) list =
+let all_rules : (string * (config -> node -> bool)) list =
   [
     ("beta", rule_beta);
     ("fold", rule_fold);

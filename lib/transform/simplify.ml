@@ -17,7 +17,7 @@ open Node
 
 let max_sweeps = 60
 
-let sweep (ctx : Rules.ctx) (root : node) : bool =
+let sweep (cfg : Rules.config) (root : node) : bool =
   let changed = ref false in
   let rec visit n =
     List.iter visit (children n);
@@ -25,25 +25,22 @@ let sweep (ctx : Rules.ctx) (root : node) : bool =
        source position *)
     Node.set_origin n.n_loc;
     List.iter
-      (fun (_, rule) -> if rule ctx n then changed := true)
+      (fun (_, rule) -> if rule cfg n then changed := true)
       Rules.all_rules
   in
   visit root;
   Node.set_origin None;
   !changed
 
-let run ?(config = Rules.default_config) ?(transcript = Transcript.create ~enabled:false ())
-    (root : node) : Transcript.t =
+let run ?(config = Rules.default_config) (root : node) : unit =
   S1_obs.Obs.with_span "simplify" (fun () ->
-      let ctx = { Rules.cfg = config; ts = transcript } in
       let continue_ = ref true in
       let sweeps = ref 0 in
       while !continue_ && !sweeps < max_sweeps do
         incr sweeps;
         S1_obs.Obs.incr "simplify.sweeps";
         S1_analysis.Analyze.refresh root;
-        continue_ := sweep ctx root
+        continue_ := sweep config root
       done;
       (* leave the tree fully analyzed for the machine-dependent phases *)
-      S1_analysis.Analyze.refresh root;
-      transcript)
+      S1_analysis.Analyze.refresh root)

@@ -351,7 +351,18 @@ let test_metacircular_soak () =
 let gen_program =
   let open QCheck2.Gen in
   let var_names = [ "V1"; "V2"; "V3" ] in
+  (* Building [expr n] builds its whole generator tree; build each size
+     once.  A generator is a pure function of the random state, so
+     sharing it leaves every seed's programs unchanged. *)
+  let memo = Hashtbl.create 16 in
   let rec expr n =
+    match Hashtbl.find_opt memo n with
+    | Some g -> g
+    | None ->
+        let g = build n in
+        Hashtbl.add memo n g;
+        g
+  and build n =
     if n = 0 then
       oneof
         [ map (fun i -> Sexp.Int i) (int_range (-50) 50);

@@ -374,7 +374,9 @@ let test_e7_transcript () =
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
   let _, ts = C.listing_of c (Reader.parse_one testfn_src) in
-  let rules = S1_transform.Transcript.rules_fired ts in
+  let rules =
+    List.map (fun ((r : S1_obs.Remark.t), _) -> r.S1_obs.Remark.r_rule) (S1_obs.Remark.rewrites ts)
+  in
   let has r = List.mem r rules in
   Alcotest.(check bool) "META-EVALUATE-ASSOC-COMMUT-CALL" true
     (has "META-EVALUATE-ASSOC-COMMUT-CALL");
@@ -383,7 +385,7 @@ let test_e7_transcript () =
   Alcotest.(check bool) "META-SIN-TO-SINC" true (has "META-SIN-TO-SINC");
   Alcotest.(check bool) "META-SUBSTITUTE" true (has "META-SUBSTITUTE");
   (* the printed transcript uses the paper's format *)
-  let text = S1_transform.Transcript.to_string ts in
+  let text = S1_obs.Remark.transcript ts in
   Alcotest.(check bool) "transcript format" true
     (contains text ";**** Optimizing this form:"
     && contains text ";**** courtesy of");

@@ -1,4 +1,4 @@
-(* End-to-end provenance: reader locations -> IR node ids -> rewrite
+(* End-to-end provenance: reader locations -> IR node ids -> decision
    journal -> PC line maps -> source-level cycle attribution. *)
 
 module Sexp = S1_sexp.Sexp
@@ -6,7 +6,7 @@ module Reader = S1_sexp.Reader
 module Loc = S1_loc.Loc
 module Node = S1_ir.Node
 module Convert = S1_frontend.Convert
-module Transcript = S1_transform.Transcript
+module Remark = S1_obs.Remark
 module C = S1_core.Compiler
 module Rt = S1_runtime.Rt
 module Cpu = S1_machine.Cpu
@@ -80,38 +80,72 @@ let test_node_locations () =
       Hashtbl.replace seen n.Node.n_id ())
     lam
 
-(* The rewrite journal -------------------------------------------------- *)
+(* The decision journal's rewrite view ---------------------------------- *)
 
-let test_journal_roundtrip () =
+let test_journal_rewrites_located () =
   let c = C.create () in
   ignore (C.eval_string c frotz_src);
-  c.C.keep_transcript <- true;
-  ignore (C.eval_string c ~file:"t.lisp" testfn_src);
-  let ts = match c.C.last_transcript with Some t -> t | None -> Alcotest.fail "no transcript" in
-  let events = Transcript.events ts in
-  Alcotest.(check bool) "rules fired" true (List.length events >= 3);
-  (* every event carries a node id and a source position *)
+  let journal =
+    Remark.capture (fun () -> ignore (C.eval_string c ~file:"t.lisp" testfn_src))
+  in
+  let rewrites = Remark.rewrites journal in
+  Alcotest.(check bool) "rules fired" true (List.length rewrites >= 3);
+  (* every rewrite carries a node id and a source position *)
   List.iter
-    (fun (e : Transcript.event) ->
-      Alcotest.(check bool) ("node id on " ^ e.Transcript.ev_rule) true (e.Transcript.ev_node >= 0);
-      Alcotest.(check bool) ("loc on " ^ e.Transcript.ev_rule) true (e.Transcript.ev_loc <> None))
-    events;
-  (* JSONL round trip reproduces the §7 text byte-for-byte *)
-  let jsonl = Transcript.to_jsonl ts in
-  let replayed = Transcript.of_jsonl jsonl in
-  Alcotest.(check string) "replayed transcript text" (Transcript.to_string ts)
-    (Transcript.to_string replayed);
-  (* and the structured events survive too *)
-  Alcotest.(check int) "event count" (List.length events)
-    (List.length (Transcript.events replayed))
+    (fun ((r : Remark.t), _) ->
+      Alcotest.(check bool) ("node id on " ^ r.Remark.r_rule) true (r.Remark.r_node >= 0);
+      Alcotest.(check bool) ("loc on " ^ r.Remark.r_rule) true (r.Remark.r_loc <> None))
+    rewrites
 
-let test_journal_rejects_garbage () =
-  (match Transcript.of_jsonl "{\"schema\":\"bogus/9\"}\n" with
-  | _ -> Alcotest.fail "accepted a bad schema"
-  | exception Transcript.Journal_error _ -> ());
-  match Transcript.of_jsonl "not json at all" with
-  | _ -> Alcotest.fail "accepted garbage"
-  | exception Transcript.Journal_error _ -> ()
+let read_file candidates =
+  (* dune runtest runs in the test directory; dune exec from the root *)
+  let path = List.find Sys.file_exists candidates in
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let src = really_input_string ic n in
+  close_in ic;
+  src
+
+let golden name =
+  read_file [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+
+(* [s1lc --transcript --trace] on examples/testfn.lisp, in a fresh
+   process: each form is compiled for its listing (printing its §7
+   text), the other forms are then evaluated, and the trace journals
+   every rewrite of the run. *)
+let testfn_views ~cse =
+  let file = "examples/testfn.lisp" in
+  let src = read_file [ Filename.concat ".." file; file ] in
+  S1_serve.Serve.reset_compile_state ();
+  let c = C.create ~cse () in
+  Remark.reset ();
+  let forms, tab = Reader.parse_string_located ~file src in
+  c.C.locs <- Some tab;
+  let text = Buffer.create 1024 in
+  let journal =
+    Remark.capture (fun () ->
+        List.iter
+          (fun form ->
+            let _, unit_journal = C.listing_of c form in
+            Buffer.add_string text (Remark.transcript unit_journal);
+            match form with
+            | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ()
+            | _ -> ignore (C.eval c form))
+          forms)
+  in
+  (Buffer.contents text, Remark.trace_jsonl journal)
+
+(* The §7 text and the s1lisp.trace/1 journal, byte for byte: the
+   goldens are the output of the compiler that kept the transcript in a
+   registry of its own, and show its five firings on testfn. *)
+let test_testfn_golden ~cse () =
+  let text, trace = testfn_views ~cse in
+  let stem = if cse then "testfn-cse" else "testfn" in
+  Alcotest.(check string) "§7 transcript" (golden (stem ^ ".transcript")) text;
+  Alcotest.(check string) "trace journal" (golden (stem ^ ".trace.jsonl")) trace;
+  (* a schema header, then one line per firing *)
+  Alcotest.(check int) "five firings" 6
+    (List.length (String.split_on_char '\n' (String.trim trace)))
 
 (* PC line maps --------------------------------------------------------- *)
 
@@ -191,8 +225,9 @@ let () =
       ("ir", [ Alcotest.test_case "node locations" `Quick test_node_locations ]);
       ( "journal",
         [
-          Alcotest.test_case "jsonl round trip" `Quick test_journal_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_journal_rejects_garbage;
+          Alcotest.test_case "rewrites located" `Quick test_journal_rewrites_located;
+          Alcotest.test_case "testfn golden" `Quick (test_testfn_golden ~cse:false);
+          Alcotest.test_case "testfn golden --cse" `Quick (test_testfn_golden ~cse:true);
         ] );
       ( "machine",
         [

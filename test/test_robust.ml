@@ -14,6 +14,7 @@ module Verify = S1_ir.Verify
 module Rules = S1_transform.Rules
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
+module Remark = S1_obs.Remark
 
 let eval (c : C.t) (src : string) : string =
   C.eval_print c (Reader.parse_string src)
@@ -164,6 +165,33 @@ let test_strict_mode_escalates () =
   | exception C.Strict_failure i ->
       Alcotest.(check string) "failing pass" "simplify" i.C.i_pass
 
+(* A rolled-back pass takes its journal entries with it: the rewrites
+   it made describe a tree that was restored, so neither the remarks nor
+   the §7 transcript may show them. *)
+let test_rollback_drops_rewrites () =
+  let c = C.create () in
+  Remark.reset ();
+  Remark.set_enabled true;
+  let _, journal =
+    Fun.protect
+      ~finally:(fun () -> Remark.set_enabled false)
+      (fun () ->
+        with_pass_hook c
+          (fun pass _ -> if pass = "simplify" then failwith "injected")
+          (fun () -> C.listing_of c (Reader.parse_one "(defun f (a b c) (+$f a b c))")))
+  in
+  let simplify (r : Remark.t) = r.Remark.r_pass = "simplify" in
+  Alcotest.(check int)
+    "no simplify remark" 0
+    (List.length (List.filter simplify (Remark.remarks ())));
+  Alcotest.(check int)
+    "no simplify rewrite" 0
+    (List.length (List.filter (fun (r, _) -> simplify r) (Remark.rewrites journal)));
+  Alcotest.(check string) "empty §7 transcript" "" (Remark.transcript journal);
+  Alcotest.(check bool) "incident logged" true
+    (List.exists (fun i -> i.C.i_pass = "simplify") c.C.incidents);
+  Remark.reset ()
+
 (* Budget --------------------------------------------------------------------- *)
 
 let test_node_budget () =
@@ -204,6 +232,7 @@ let () =
             test_rollback_matches_disabled_pass;
           Alcotest.test_case "records incident" `Quick test_rollback_records_incident;
           Alcotest.test_case "strict escalates" `Quick test_strict_mode_escalates;
+          Alcotest.test_case "drops rewrites" `Quick test_rollback_drops_rewrites;
         ] );
       ("budget", [ Alcotest.test_case "node budget" `Quick test_node_budget ]);
     ]

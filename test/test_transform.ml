@@ -12,11 +12,12 @@ module Rt = S1_runtime.Rt
 
 let parse = Reader.parse_one
 
+module Remark = S1_obs.Remark
+
 let optimize ?config src =
   let n = Convert.expression (parse src) in
-  let ts = Transcript.create () in
-  ignore (Simplify.run ?config ~transcript:ts n);
-  (n, ts)
+  let journal = Remark.capture (fun () -> Simplify.run ?config n) in
+  (n, journal)
 
 let optimized_text ?config src =
   let n, _ = optimize ?config src in
@@ -138,7 +139,7 @@ let test_paper_testfn_transcript () =
   (* NOTE: we drive the body shape directly; the &optional machinery is
      exercised by the codegen tests. *)
   let _, ts = optimize src in
-  let rules = Transcript.rules_fired ts in
+  let rules = List.map (fun ((r : Remark.t), _) -> r.Remark.r_rule) (Remark.rewrites ts) in
   let has r = List.mem r rules in
   Alcotest.(check bool) "assoc-commut fired" true (has "META-EVALUATE-ASSOC-COMMUT-CALL");
   Alcotest.(check bool) "reversing fired" true (has "CONSIDER-REVERSING-ARGUMENTS");
@@ -146,7 +147,7 @@ let test_paper_testfn_transcript () =
 
 let test_transcript_format () =
   let _, ts = optimize "(+$f a b c)" in
-  let text = Transcript.to_string ts in
+  let text = Remark.transcript ts in
   Alcotest.(check bool) "paper's transcript format" true
     (try
        ignore (Str.search_forward (Str.regexp_string ";**** Optimizing this form: (+$F A B C)") text 0);
@@ -181,7 +182,18 @@ let gen_program =
   (* closed programs over let-bound integer variables *)
   let open QCheck2.Gen in
   let var_names = [ "V1"; "V2"; "V3" ] in
+  (* Building [expr n] builds its whole generator tree; build each size
+     once.  A generator is a pure function of the random state, so
+     sharing it leaves every seed's programs unchanged. *)
+  let memo = Hashtbl.create 16 in
   let rec expr n =
+    match Hashtbl.find_opt memo n with
+    | Some g -> g
+    | None ->
+        let g = build n in
+        Hashtbl.add memo n g;
+        g
+  and build n =
     if n = 0 then
       oneof
         [ map (fun i -> Sexp.Int i) (int_range (-20) 20);
