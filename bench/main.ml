@@ -668,6 +668,7 @@ let serve_cache_bench dir =
   section "SV: Compile service — cold vs warm batch over the corpus";
   let module Serve = S1_serve.Serve in
   let module Cache = S1_serve.Cache in
+  let module Sup = S1_serve.Supervise in
   let rec rm_rf path =
     if Sys.file_exists path then
       if Sys.is_directory path then begin
@@ -687,7 +688,8 @@ let serve_cache_bench dir =
   let run () =
     let cache = Cache.create ~dir () in
     let t0 = Unix.gettimeofday () in
-    let rs = Serve.batch ~cache Serve.default_cfg files in
+    let report = Sup.batch ~cache Serve.default_cfg files in
+    let rs = List.map (fun s -> s.Sup.s_result) report.Sup.b_results in
     (rs, Unix.gettimeofday () -. t0)
   in
   let cold, cold_wall = run () in

@@ -46,7 +46,7 @@
                                            every optimization pass.  Exit 0 =
                                            all clean, 2 = hard failure, 3 = all
                                            succeeded but some degraded
-     s1lc --serve-batch --degrade --deadline-cycles 2000000 --max-retries 3 ...
+     s1lc --serve-batch --degrade --deadline-cycles 2000000 ...
                                            supervised batch: per-unit cycle
                                            deadlines, crashed units retry down
                                            the degradation ladder (full ->
@@ -186,7 +186,7 @@ let metrics_json ~(cpu : Cpu.t) ~(file_deltas : (string * (string * int) list) l
 let run phases listing transcript tns interpret repl stats timings profile metrics trace
     annotate folded trace_events remarks remarks_json diff_runs diff_threshold
     (rules, options) cse strict fuzz chaos seed fuzz_report serve_batch jobs cache_dir
-    cache_capacity serve_out serve_fuzz deadline_cycles max_retries degrade incidents
+    cache_capacity serve_out serve_fuzz deadline_cycles degrade incidents
     serve_chaos evals files =
   let module Remark = S1_obs.Remark in
   (* --diff-runs is a separate mode: compare two exported runs, compile
@@ -266,7 +266,6 @@ let run phases listing transcript tns interpret repl stats timings profile metri
     let policy =
       {
         Sup.p_deadline = deadline_cycles;
-        p_max_retries = max_retries;
         p_degrade = degrade;
         p_fuel = None;
       }
@@ -914,14 +913,6 @@ let deadline_cycles =
               effects) exceeds $(docv) cycles is stopped with a deadline trap, logged \
               to the incident journal, and retried per the supervision policy.")
 
-let max_retries =
-  Arg.(
-    value & opt int S1_serve.Supervise.default_policy.S1_serve.Supervise.p_max_retries
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:"With $(b,--serve-batch): maximum retries per unit after a crash or \
-              deadline expiry.  Each retry descends one rung of the degradation \
-              ladder, so without $(b,--degrade) a crashed unit fails fast.")
-
 let degrade =
   Arg.(
     value & flag
@@ -973,7 +964,7 @@ let cmd =
       $ profile $ metrics $ trace $ annotate $ folded $ trace_events $ remarks
       $ remarks_json $ diff_runs $ diff_threshold $ config_term $ cse $ strict $ fuzz
       $ chaos $ seed $ fuzz_report $ serve_batch $ jobs $ cache_dir $ cache_capacity
-      $ serve_out $ serve_fuzz $ deadline_cycles $ max_retries $ degrade $ incidents
+      $ serve_out $ serve_fuzz $ deadline_cycles $ degrade $ incidents
       $ serve_chaos $ evals $ files)
 
 let () = exit (Cmd.eval cmd)

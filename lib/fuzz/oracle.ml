@@ -72,36 +72,49 @@ let find_config name = List.find_opt (fun c -> c.cfg_name = name) lattice
 let fuzz_fuel = 20_000_000 (* simulator cycles per top-level call *)
 let interp_fuel = 2_000_000 (* interpreter evaluation steps per program *)
 
+(** The one mapping from a raised exception to an outcome.  A Lisp
+    condition is an [Error]; a typed engine failure (codegen, machine
+    trap, strict-mode incident, heap or stack exhaustion) is a [Crash].
+    [None] says the exception is untyped — a bug, not a fault the
+    engines promise to structure — and each caller decides what that
+    means for it. *)
+let outcome_of_exn (e : exn) : outcome option =
+  match e with
+  | Rt.Lisp_error m -> Some (Error m)
+  | Rt.Thrown _ -> Some (Error "uncaught throw")
+  | S1_frontend.Convert.Convert_error { message; _ } -> Some (Error ("convert: " ^ message))
+  | S1_frontend.Macroexp.Expansion_error { message; _ } -> Some (Error ("macro: " ^ message))
+  | GenO.Codegen_error m -> Some (Crash ("codegen: " ^ m))
+  | S1_machine.Cpu.Trap { kind; pc; message; _ } ->
+      Some
+        (Crash
+           (Printf.sprintf "%s trap at pc %d: %s"
+              (S1_machine.Cpu.trap_kind_name kind) pc message))
+  | C.Strict_failure i -> Some (Crash ("strict: " ^ C.incident_to_string i))
+  | S1_runtime.Heap.Heap_exhausted _ -> Some (Crash (Printexc.to_string e))
+  | Stack_overflow -> Some (Crash "compiler stack overflow")
+  | _ -> None
+
+(* An untyped exception out of the reference interpreter is a bug in
+   the reference itself, so it propagates instead of becoming an
+   outcome. *)
 let run_interp ?(prepare = fun (_ : I.t) -> ()) (forms : Sexp.t list) : outcome =
   let it = I.boot () in
   it.I.fuel <- interp_fuel;
   prepare it;
   match List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms with
   | w -> Value (Rt.print_value it.I.rt w)
-  | exception Rt.Lisp_error m -> Error m
-  | exception Rt.Thrown _ -> Error "uncaught throw"
-  | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
-  | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
   | exception I.Fuel_exhausted -> Error "interpreter fuel exhausted"
-  | exception S1_runtime.Heap.Heap_exhausted _ -> Error "heap exhausted"
   | exception Stack_overflow -> Crash "interpreter stack overflow"
+  | exception e -> ( match outcome_of_exn e with Some o -> o | None -> raise e)
 
 let run_compiled (cfg : config) (forms : Sexp.t list) : outcome =
   let c = C.create ~options:cfg.cfg_options ~rules:cfg.cfg_rules ~cse:cfg.cfg_cse () in
   c.C.rt.Rt.fuel <- Some fuzz_fuel;
   match C.eval_print c forms with
   | s -> Value s
-  | exception Rt.Lisp_error m -> Error m
-  | exception Rt.Thrown _ -> Error "uncaught throw"
-  | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
-  | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
-  | exception S1_codegen.Gen.Codegen_error m -> Crash ("codegen: " ^ m)
-  | exception S1_machine.Cpu.Trap { kind; pc; message; _ } ->
-      Crash
-        (Printf.sprintf "%s trap at pc %d: %s"
-           (S1_machine.Cpu.trap_kind_name kind) pc message)
-  | exception Stack_overflow -> Crash "compiler stack overflow"
-  | exception e -> Crash (Printexc.to_string e)
+  | exception e -> (
+      match outcome_of_exn e with Some o -> o | None -> Crash (Printexc.to_string e))
 
 (* Printed-value agreement.  Exact string equality, with one carve-out:
    this dialect's meta-evaluation canonicalizes associative float

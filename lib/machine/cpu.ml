@@ -63,7 +63,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;
   mutable bad_function_svc : int;
-  mutable trace : bool;
   mutable profile : profile option;
   mutable callgraph : callgraph option;
   mutable symbols : (int * int * string) list;
@@ -146,7 +145,6 @@ let create ?mem () =
       stats = fresh_stats ();
       service = (fun _ _ -> ());
       bad_function_svc = -1;
-      trace = false;
       profile = None;
       callgraph = None;
       symbols = [];
@@ -974,8 +972,6 @@ let float_unop cpu (op : Isa.unop) x =
 let step cpu =
   if cpu.pc < 0 || cpu.pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
   let i = cpu.code.(cpu.pc) in
-  if cpu.trace then
-    Format.eprintf "@[<h>%6d  %a@]@." cpu.pc Isa.pp_instr i;
   let s = cpu.stats in
   (* profile attribution: every cycle this dispatch adds (base plus
      vector per-element costs) charges to the fetched PC *)
@@ -1175,19 +1171,6 @@ let run ?(fuel = 500_000_000) cpu ~at =
            replay, so incident journals stay byte-deterministic. *)
         trap cpu Deadline_expired "watchdog cycle deadline expired"
     | _ -> trap cpu Fuel_exhaustion "fuel exhausted after %d cycles" fuel
-
-(* Rollback support for transactional loads: a mark taken before a load
-   and released after a failure truncates the code store and drops the
-   symbol ranges and PC line maps of everything loaded past the mark, so
-   a re-load lands at the same addresses with the same provenance. *)
-let code_mark cpu = cpu.code_len
-
-let code_release cpu mark =
-  if mark >= 0 && mark <= cpu.code_len then begin
-    cpu.code_len <- mark;
-    cpu.symbols <- List.filter (fun (lo, _, _) -> lo < mark) cpu.symbols;
-    cpu.mark_segments <- List.filter (fun (lo, _, _) -> lo < mark) cpu.mark_segments
-  end
 
 let call_function ?fuel cpu ~fobj ~args =
   List.iter (fun v -> push cpu v) args;

@@ -76,7 +76,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;  (** runtime service trap handler *)
   mutable bad_function_svc : int;  (** service invoked by CALL on a non-function *)
-  mutable trace : bool;
   mutable profile : profile option;  (** per-PC attribution; None = off (zero cost) *)
   mutable callgraph : callgraph option;  (** call-path attribution; None = off *)
   mutable symbols : (int * int * string) list;
@@ -152,15 +151,6 @@ val run : ?fuel:int -> t -> at:int -> unit
     @raise Trap when fuel (default 500M cycles) is exhausted, or with
     kind {!Deadline_expired} when the cumulative watchdog ({!t.deadline})
     fires first. *)
-
-val code_mark : t -> int
-(** Current end of the code store; pass to {!code_release} to roll a
-    failed load back. *)
-
-val code_release : t -> int -> unit
-(** Truncate the code store to a {!code_mark}, dropping symbol ranges
-    and PC line maps loaded past it, so a re-load lands at the same
-    addresses with the same provenance. *)
 
 val call_function : ?fuel:int -> t -> fobj:int -> args:int list -> int
 (** Host-side entry: push [args], [CALL] the function object, run until

@@ -54,25 +54,3 @@ let alloc_static m n =
   end
 
 let static_used m = m.static_next - static_base m
-
-(* Transactional loads: a mark taken before a load and released after a
-   failure rolls the allocation pointer back, and [static_snapshot]/
-   [static_restore] capture and rewrite the live static words, so a
-   rolled-back load leaves the region byte-identical — re-interning the
-   same symbols then lands at the same addresses. *)
-let static_mark m = m.static_next
-
-let static_release m mark =
-  if mark >= static_base m && mark <= m.static_next then m.static_next <- mark
-
-let static_snapshot m =
-  Array.sub m.words (static_base m) (m.static_next - static_base m)
-
-let static_restore m snap =
-  let base = static_base m in
-  if base + Array.length snap > static_limit m then
-    failwith "static restore larger than region"
-  else begin
-    Array.blit snap 0 m.words base (Array.length snap);
-    m.static_next <- base + Array.length snap
-  end

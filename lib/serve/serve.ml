@@ -1,5 +1,5 @@
-(** The compile service: content-addressed caching and parallel batch
-    compilation in front of {!S1_core.Compiler}.
+(** The compile service: content-addressed caching in front of
+    {!S1_core.Compiler}, one unit at a time ({!Supervise} batches it).
 
     Cold path: compile each top-level form with a {e recording world} —
     the generator sees sentinels instead of live-world words, and every
@@ -17,12 +17,12 @@
     cycle counts, same annotate listing — without running a single
     optimization pass.
 
-    Batch mode fans files out over a Domain pool.  All compiler state is
-    either per-instance ({!S1_core.Compiler.t}) or domain-local
-    ({!S1_par.Dls}), so workers are hermetic; each file's counter delta
-    is carried in its {!result} and merged into the calling domain's
-    registry in input order, making `-j N` output and metrics
-    independent of scheduling. *)
+    Every execution, cold or warm, runs in a world of its own that dies
+    with the call, so a failed run leaves nothing behind to roll back.
+    All compiler state is either per-instance ({!S1_core.Compiler.t}) or
+    domain-local ({!S1_par.Dls}), so {!Supervise.batch} can run units on
+    worker domains; each file's counter delta is carried in its
+    {!result} for the batch to merge in input order. *)
 
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
@@ -300,31 +300,16 @@ let replay_action (c : C.t) (a : Image.action) : int =
       let fobj = replay_unit c u in
       Rt.call c.C.rt fobj []
 
-(** Replay a loaded image into an existing compiler's world and return
-    the final value word.  Transactional: if any action traps or raises
-    mid-replay, the world's symbol and cell state is rewound to the
-    pre-load snapshot (static region, code store, obarray, macro table)
-    so a failed load is a clean no-op and the caller can retry — e.g.
-    fall back to a from-source compile — against an unpolluted world.
-    Heap allocations made by partial replay are not rewound; they become
-    unreachable garbage once the static roots are restored. *)
-let execute_in (c : C.t) (img : Image.t) : int =
-  let ws = C.snapshot_world c in
-  try
-    List.fold_left
-      (fun _ a -> replay_action c a)
-      c.C.rt.Rt.nil img.Image.i_actions
-  with e ->
-    C.restore_world c ws;
-    raise e
-
 (** Replay a loaded image into a {e fresh} world. *)
 let execute (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
     (img : Image.t) : exec =
   let c = compiler_of cfg in
   c.C.rt.Rt.fuel <- fuel;
   prepare c;
-  let last = under_deadline c deadline (fun () -> execute_in c img) in
+  let last =
+    under_deadline c deadline (fun () ->
+        List.fold_left (fun _ a -> replay_action c a) c.C.rt.Rt.nil img.Image.i_actions)
+  in
   {
     e_value = Rt.print_value c.C.rt last;
     e_output = Rt.output c.C.rt;
@@ -347,34 +332,26 @@ type result = {
   r_loc : S1_loc.Loc.t option;  (** provenance of the faulting instruction *)
 }
 
-(* Same structured-outcome discipline as the differential oracle: a Lisp
-   condition is an [Error], an engine failure is a [Crash], and nothing
-   escapes as a bare exception.  Machine traps additionally surface
-   their kind and provenance loc so the supervisor can classify the
-   fault (deadline vs. corruption vs. engine bug) without string
-   matching. *)
+(* Run [f] and classify how it ended with {!Oracle.outcome_of_exn}; an
+   untyped exception is a [Crash] too, so nothing escapes as a bare
+   exception.  Machine traps additionally surface their kind and
+   provenance loc so the supervisor can classify the fault (deadline vs.
+   corruption vs. engine bug) without string matching. *)
 let structured (f : unit -> exec) :
     Oracle.outcome * exec option * (Cpu.trap_kind * S1_loc.Loc.t option) option
     =
   match f () with
   | e -> (Oracle.Value e.e_value, Some e, None)
-  | exception Rt.Lisp_error m -> (Oracle.Error m, None, None)
-  | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None, None)
-  | exception S1_frontend.Convert.Convert_error { message; _ } ->
-      (Oracle.Error ("convert: " ^ message), None, None)
-  | exception Macroexp.Expansion_error { message; _ } ->
-      (Oracle.Error ("macro: " ^ message), None, None)
-  | exception Gen.Codegen_error m -> (Oracle.Crash ("codegen: " ^ m), None, None)
-  | exception Cpu.Trap { kind; pc; message; loc } ->
-      ( Oracle.Crash
-          (Printf.sprintf "%s trap at pc %d: %s" (Cpu.trap_kind_name kind) pc
-             message),
-        None,
-        Some (kind, loc) )
-  | exception C.Strict_failure i ->
-      (Oracle.Crash ("strict: " ^ C.incident_to_string i), None, None)
-  | exception Stack_overflow -> (Oracle.Crash "compiler stack overflow", None, None)
-  | exception e -> (Oracle.Crash (Printexc.to_string e), None, None)
+  | exception e ->
+      let outcome =
+        match Oracle.outcome_of_exn e with
+        | Some o -> o
+        | None -> Oracle.Crash (Printexc.to_string e)
+      in
+      let trap =
+        match e with Cpu.Trap { kind; loc; _ } -> Some (kind, loc) | _ -> None
+      in
+      (outcome, None, trap)
 
 (** Compile-or-load one file through the service: cache lookup by
     content address, cold compile + capture + store on miss, verified
@@ -427,59 +404,6 @@ let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
     r_trap = Option.map fst trap;
     r_loc = Option.bind trap snd;
   }
-
-(* Batch ---------------------------------------------------------------- *)
-
-(** Compile many files, [jobs] domains wide.  Results come back in input
-    order regardless of scheduling, and each worker's counter deltas are
-    merged into the calling domain's registry in input order, so every
-    observable output is identical for any [jobs]. *)
-let batch ?cache ?fuel ?(jobs = 1) (cfg : cfg) (files : string list) :
-    result list =
-  let files = Array.of_list files in
-  let n = Array.length files in
-  let results : result option array = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let file = files.(i) in
-        let r =
-          match Cache.read_file file with
-          | src -> compile_file ?cache ?fuel cfg ~file src
-          | exception Sys_error m ->
-              {
-                r_file = file;
-                r_key = "";
-                r_hit = false;
-                r_image = "";
-                r_outcome = Oracle.Crash ("cannot read file: " ^ m);
-                r_exec = None;
-                r_counters = [];
-                r_trap = None;
-                r_loc = None;
-              }
-        in
-        results.(i) <- Some r;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let jobs = max 1 (min jobs (max 1 n)) in
-  let domains = List.init jobs (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  let rs =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> failwith "serve: unprocessed file")
-         results)
-  in
-  List.iter
-    (fun r -> List.iter (fun (k, v) -> Obs.incr ~n:v k) r.r_counters)
-    rs;
-  rs
 
 (* Fuzzing the cache path ----------------------------------------------- *)
 

@@ -31,7 +31,6 @@
     timestamp — two runs with the same inputs, flags, and chaos seed
     produce byte-identical journals. *)
 
-module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
 module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
@@ -49,17 +48,16 @@ type policy = {
       (** cumulative simulator-cycle budget per attempt ([None] = no
           watchdog); covers macroexpansion, DEFVAR initializers, and
           toplevel effects — everything that runs simulated code *)
-  p_max_retries : int;  (** attempts allowed {e after} the first *)
   p_degrade : bool;
       (** open the degradation ladder: a crashed attempt retries one
-          rung down.  [false] fails fast after the first crash — a
-          deterministic compile would only fail identically again at
-          the same strength *)
+          rung down until the ladder runs out.  [false] fails fast after
+          the first crash — a deterministic compile would only fail
+          identically again at the same strength *)
   p_fuel : int option;  (** per-call fuel override, as in {!Serve} *)
 }
 
 let default_policy =
-  { p_deadline = None; p_max_retries = 3; p_degrade = false; p_fuel = None }
+  { p_deadline = None; p_degrade = false; p_fuel = None }
 
 (* Supervised results ---------------------------------------------------- *)
 
@@ -81,37 +79,28 @@ let degraded (s : sup_result) : bool =
 (* The ladder floor: no compilation at all — parse and run the source on
    the reference interpreter, reported through the same structured
    result shape so callers need not care which engine answered. *)
-let interp_stub ?fuel ~key ~file (src : string) : Serve.result =
+let interp_rung ~key ~file (src : string) : Serve.result =
   let before = Obs.snapshot () in
-  let outcome, exec =
-    match Reader.parse_string src with
-    | exception e -> (Oracle.Crash ("parse: " ^ Printexc.to_string e), None)
-    | forms -> (
-        let it = I.boot () in
-        it.I.fuel <- Option.value ~default:Oracle.interp_fuel fuel;
-        match
-          List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms
-        with
-        | w ->
-            let e =
-              {
-                Serve.e_value = Rt.print_value it.I.rt w;
-                e_output = Rt.output it.I.rt;
-                e_cycles = it.I.rt.Rt.cpu.Cpu.stats.Cpu.cycles;
-              }
-            in
-            (Oracle.Value e.Serve.e_value, Some e)
-        | exception Rt.Lisp_error m -> (Oracle.Error m, None)
-        | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None)
-        | exception S1_frontend.Convert.Convert_error { message; _ } ->
-            (Oracle.Error ("convert: " ^ message), None)
-        | exception S1_frontend.Macroexp.Expansion_error { message; _ } ->
-            (Oracle.Error ("macro: " ^ message), None)
-        | exception I.Fuel_exhausted ->
-            (Oracle.Error "interpreter fuel exhausted", None)
-        | exception Stack_overflow ->
-            (Oracle.Crash "interpreter stack overflow", None)
-        | exception e -> (Oracle.Crash (Printexc.to_string e), None))
+  let world = ref None in
+  let outcome =
+    match
+      Oracle.run_interp
+        ~prepare:(fun it -> world := Some it)
+        (Reader.parse_string src)
+    with
+    | o -> o
+    | exception e -> Oracle.Crash (Printexc.to_string e)
+  in
+  let exec =
+    match (outcome, !world) with
+    | Oracle.Value v, Some it ->
+        Some
+          {
+            Serve.e_value = v;
+            e_output = Rt.output it.I.rt;
+            e_cycles = it.I.rt.Rt.cpu.Cpu.stats.Cpu.cycles;
+          }
+    | _ -> None
   in
   {
     Serve.r_file = file;
@@ -153,7 +142,7 @@ let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
         let degraded = if rung = C.Full_opt then "" else C.degrade_name rung in
         Serve.compile_file ?cache ?fuel:policy.p_fuel ?deadline ~degraded cfg'
           ~file src
-    | None -> interp_stub ?fuel:None ~key:(Serve.key_of cfg src) ~file src
+    | None -> interp_rung ~key:(Serve.key_of cfg src) ~file src
   in
   let (rung, attempts, result), incidents =
     Incident.with_sink (fun () ->
@@ -187,12 +176,11 @@ let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
                    ~rung:(C.degrade_name rung) ~attempt:n ~detail
                    ?loc:r.Serve.r_loc
                    ~flags:(Serve.flags_of cfg) ?seed ());
-              let next_rungs = List.tl rungs in
-              if n < policy.p_max_retries && next_rungs <> [] then begin
-                Obs.incr "serve.retries";
-                attempt next_rungs (n + 1)
-              end
-              else (rung, n + 1, r)
+              match List.tl rungs with
+              | [] -> (rung, n + 1, r)
+              | next_rungs ->
+                  Obs.incr "serve.retries";
+                  attempt next_rungs (n + 1)
         in
         let rungs = if policy.p_degrade then C.degrade_ladder else [ C.Full_opt ] in
         attempt rungs 0)
@@ -242,14 +230,42 @@ let hard_failure (r : batch_report) : bool =
 let all_ok_some_degraded (r : batch_report) : bool =
   (not (hard_failure r)) && List.exists degraded r.b_results
 
-(** Supervised batch over in-memory (file, source) units: [jobs] worker
-    domains, crash isolation, optional seeded chaos.  Results come back
-    in input order and every worker's counter deltas are merged into the
-    calling domain's registry in input order, exactly like
-    {!Serve.batch}. *)
-let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
-    (cfg : Serve.cfg) (units : (string * string) list) : batch_report =
-  let units = Array.of_list units in
+(* A unit that produced no service result — its worker died, or its
+   file could not be read: a failed result carrying its one terminal
+   incident. *)
+let failed_unit ~kind ~attempts ?flags ?seed ~file (detail : string) :
+    sup_result =
+  let inc = Incident.make ~kind ~file ~detail ?flags ?seed () in
+  Incident.mark_terminal ~disposition:"failed" [ inc ];
+  {
+    s_result =
+      {
+        Serve.r_file = file;
+        r_key = "";
+        r_hit = false;
+        r_image = "";
+        r_outcome = Oracle.Crash detail;
+        r_exec = None;
+        r_counters = [];
+        r_trap = None;
+        r_loc = None;
+      };
+    s_rung = C.Full_opt;
+    s_attempts = attempts;
+    s_disposition = "failed";
+    s_incidents = [ inc ];
+  }
+
+(* The batch driver: [jobs] worker domains, crash isolation, optional
+   seeded chaos.  Each worker reads its unit's source itself
+   ([read] may raise [Sys_error]: that unit fails with an [io]
+   incident in its own slot).  Results come back in input order and
+   every worker's counter deltas are merged into the calling domain's
+   registry in input order, so every observable output is identical
+   for any [jobs]. *)
+let run_batch ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
+    (cfg : Serve.cfg) (units : (string * (unit -> string)) array) :
+    batch_report =
   let n = Array.length units in
   let results : sup_result option array = Array.make n None in
   let next = Atomic.make 0 in
@@ -262,13 +278,19 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         inflight.(wid) <- i;
-        let file, src = units.(i) in
-        let fault =
-          match chaos with
-          | None -> Chaos.Bnone
-          | Some seed -> Chaos.batch_fault_for ~seed ~index:i
+        let file, read = units.(i) in
+        let r =
+          match read () with
+          | exception Sys_error m ->
+              failed_unit ~kind:"io" ~attempts:0 ~file ("cannot read file: " ^ m)
+          | src ->
+              let fault =
+                match chaos with
+                | None -> Chaos.Bnone
+                | Some seed -> Chaos.batch_fault_for ~seed ~index:i
+              in
+              run_unit ?cache ~policy ~fault ?seed:chaos cfg ~file src
         in
-        let r = run_unit ?cache ~policy ~fault ?seed:chaos cfg ~file src in
         results.(i) <- Some r;
         inflight.(wid) <- -1;
         loop ()
@@ -279,32 +301,10 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
   (* mark the unit a dead worker was holding as failed, with the batch's
      one worker-crash incident for it *)
   let crashed i (e : exn) : sup_result =
-    let file, _ = units.(i) in
-    let detail = "worker domain died: " ^ Printexc.to_string e in
-    let inc =
-      Incident.make ~kind:"worker-crash" ~file ~detail
-        ~flags:(Serve.flags_of cfg) ?seed:chaos ()
-    in
-    Incident.mark_terminal ~disposition:"failed" [ inc ];
     Obs.incr "serve.worker_crashes";
-    {
-      s_result =
-        {
-          Serve.r_file = file;
-          r_key = "";
-          r_hit = false;
-          r_image = "";
-          r_outcome = Oracle.Crash detail;
-          r_exec = None;
-          r_counters = [];
-          r_trap = None;
-          r_loc = None;
-        };
-      s_rung = C.Full_opt;
-      s_attempts = 1;
-      s_disposition = "failed";
-      s_incidents = [ inc ];
-    }
+    failed_unit ~kind:"worker-crash" ~attempts:1 ~flags:(Serve.flags_of cfg)
+      ?seed:chaos ~file:(fst units.(i))
+      ("worker domain died: " ^ Printexc.to_string e)
   in
   let rec supervise pool =
     match pool with
@@ -338,61 +338,18 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
     rs;
   report_of rs
 
+(** Supervised batch over in-memory (file, source) units. *)
+let batch_sources ?cache ?policy ?jobs ?chaos (cfg : Serve.cfg)
+    (units : (string * string) list) : batch_report =
+  run_batch ?cache ?policy ?jobs ?chaos cfg
+    (Array.of_list (List.map (fun (file, src) -> (file, fun () -> src)) units))
+
 (** Supervised batch over source files.  An unreadable file is a failed
     unit (incident kind [io]), not a batch abort. *)
 let batch ?cache ?policy ?jobs ?chaos (cfg : Serve.cfg) (files : string list) :
     batch_report =
-  let units, bad =
-    List.fold_left
-      (fun (units, bad) f ->
-        match Cache.read_file f with
-        | src -> ((f, src) :: units, bad)
-        | exception Sys_error m -> (units, (f, m) :: bad))
-      ([], []) files
-  in
-  let bad = List.rev bad and units = List.rev units in
-  let report = batch_sources ?cache ?policy ?jobs ?chaos cfg units in
-  if bad = [] then report
-  else begin
-    (* splice unreadable files back at their input positions *)
-    let failed (f, m) =
-      let detail = "cannot read file: " ^ m in
-      let inc = Incident.make ~kind:"io" ~file:f ~detail () in
-      Incident.mark_terminal ~disposition:"failed" [ inc ];
-      {
-        s_result =
-          {
-            Serve.r_file = f;
-            r_key = "";
-            r_hit = false;
-            r_image = "";
-            r_outcome = Oracle.Crash detail;
-            r_exec = None;
-            r_counters = [];
-            r_trap = None;
-            r_loc = None;
-          };
-        s_rung = C.Full_opt;
-        s_attempts = 0;
-        s_disposition = "failed";
-        s_incidents = [ inc ];
-      }
-    in
-    let by_file = Hashtbl.create 8 in
-    List.iter (fun s -> Hashtbl.add by_file s.s_result.Serve.r_file s)
-      report.b_results;
-    let results =
-      List.map
-        (fun f ->
-          match Hashtbl.find_opt by_file f with
-          | Some s ->
-              Hashtbl.remove by_file f;
-              s
-          | None -> failed (f, List.assoc f bad))
-        files
-    in
-    report_of results
-  end
+  run_batch ?cache ?policy ?jobs ?chaos cfg
+    (Array.of_list (List.map (fun file -> (file, fun () -> Cache.read_file file)) files))
 
 let journal (r : batch_report) : string = Incident.render r.b_incidents
 

@@ -18,6 +18,7 @@ module Obs = S1_obs.Obs
 module Image = S1_serve.Image
 module Cache = S1_serve.Cache
 module Serve = S1_serve.Serve
+module Sup = S1_serve.Supervise
 
 let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
 
@@ -477,6 +478,12 @@ let test_macro_tables_instance_scoped () =
 
 (* Batch ---------------------------------------------------------------------- *)
 
+(* The service results of a supervised batch, in input order. *)
+let batch ?cache ~jobs files : Serve.result list =
+  List.map
+    (fun s -> s.Sup.s_result)
+    (Sup.batch ?cache ~jobs Serve.default_cfg files).Sup.b_results
+
 let batch_fingerprint (rs : Serve.result list) : (string * string * string) list
     =
   List.map
@@ -488,8 +495,8 @@ let test_batch_parallel_matches_sequential () =
   let files =
     List.map (Filename.concat corpus_dir) (corpus_files ())
   in
-  let seq = Serve.batch ~jobs:1 Serve.default_cfg files in
-  let par = Serve.batch ~jobs:4 Serve.default_cfg files in
+  let seq = batch ~jobs:1 files in
+  let par = batch ~jobs:4 files in
   Alcotest.(check (list (triple string string string)))
     "-j 4 produces byte-identical images in input order"
     (batch_fingerprint seq) (batch_fingerprint par);
@@ -509,14 +516,14 @@ let test_batch_warm_over_shared_cache () =
   let dir = fresh_dir "batchcache" in
   let files = List.map (Filename.concat corpus_dir) (corpus_files ()) in
   let cache = Cache.create ~dir ~capacity:4 () in
-  let cold = Serve.batch ~cache ~jobs:4 Serve.default_cfg files in
+  let cold = batch ~cache ~jobs:4 files in
   List.iter
     (fun (r : Serve.result) ->
       Alcotest.(check bool) (r.Serve.r_file ^ ": cold miss") false r.Serve.r_hit)
     cold;
   (* tiny memory capacity forces the warm run through the disk store *)
   let cache2 = Cache.create ~dir ~capacity:4 () in
-  let warm = Serve.batch ~cache:cache2 ~jobs:4 Serve.default_cfg files in
+  let warm = batch ~cache:cache2 ~jobs:4 files in
   List.iter2
     (fun (c : Serve.result) (w : Serve.result) ->
       Alcotest.(check bool) (w.Serve.r_file ^ ": warm hit") true w.Serve.r_hit;

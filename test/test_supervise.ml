@@ -1,12 +1,11 @@
 (* Tests for the supervision layer over the compile service: torn/
-   truncated blobs quarantined (never deleted), the transactional
-   warm-image replay (a failed load is a clean no-op, byte-for-byte),
-   the retry ladder with graceful degradation, cycle-budget deadlines,
+   truncated blobs quarantined (never deleted), a clean retry after a
+   crashed warm replay, the retry ladder with graceful degradation down
+   to the interpreter floor, cycle-budget deadlines,
    the per-key circuit breaker and bounded readmission, worker-domain
    crash isolation, and the chaos-batch smoke invariants. *)
 
 module Cpu = S1_machine.Cpu
-module Rt = S1_runtime.Rt
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
 module Oracle = S1_fuzz.Oracle
@@ -99,53 +98,42 @@ let test_torn_blob_quarantined_not_deleted () =
       Alcotest.failf "expected exactly 1 quarantine incident, got %d"
         (List.length incs))
 
-(* Transactional replay -------------------------------------------------------- *)
+(* Retry after a crash ----------------------------------------------------------- *)
 
-(* Comparable rendering of a world snapshot: field-by-field, with the
-   hashtable-derived lists canonically ordered. *)
-let canon (ws : C.world_snapshot) =
-  ( ws.C.ws_static,
-    ws.C.ws_code_mark,
-    ws.C.ws_symbols,
-    List.sort compare ws.C.ws_obarray,
-    List.sort compare ws.C.ws_macros,
-    ws.C.ws_gensym )
-
-let test_failed_replay_is_clean_noop () =
-  let img0, _ = cold_image () in
-  let img =
-    match Image.load (Image.save img0) with
-    | Ok i -> i
-    | Error e -> Alcotest.fail (Image.load_error_to_string e)
+(* A 1-cycle deadline lets the replay install the DEFUN, then traps on
+   the toplevel form's first simulated instruction: a mid-replay failure
+   with world effects already applied.  Every execution builds its own
+   world, so the next hit of the same source must be indistinguishable
+   from one that never followed a crash. *)
+let test_hit_after_crashed_hit_is_clean () =
+  let cache = Cache.create () in
+  let hit ?deadline () =
+    Serve.compile_file ~cache ?deadline Serve.default_cfg ~file:"<retry>"
+      sample_src
   in
-  Serve.reset_compile_state ();
-  let c = C.create () in
-  let before = canon (C.snapshot_world c) in
-  (* a 1-cycle deadline lets the replay install the DEFUN, then traps on
-     the toplevel form's first simulated instruction: a mid-replay
-     failure with world effects already applied *)
-  (match Rt.with_deadline c.C.rt ~cycles:1 (fun () -> Serve.execute_in c img) with
-  | _ -> Alcotest.fail "1-cycle replay unexpectedly completed"
-  | exception Cpu.Trap { kind = Cpu.Deadline_expired; _ } -> ()
-  | exception e -> Alcotest.failf "unexpected exception: %s" (Printexc.to_string e));
-  let after = canon (C.snapshot_world c) in
-  Alcotest.(check bool) "failed load left the world untouched" true
-    (before = after);
-  (* the same world retries cleanly and lands at the same value ... *)
-  let v = Serve.execute_in c img in
-  Alcotest.(check string) "retry value" "21" (Rt.print_value c.C.rt v);
-  (* ... and at exactly the state a never-failed world reaches:
-     re-interning after the rollback reuses the same static addresses
-     and code origins, so determinism survives the rollback *)
-  Serve.reset_compile_state ();
-  let control = C.create () in
-  let _ = Serve.execute_in control img in
-  Alcotest.(check bool)
-    "world after rollback+retry = world of an undisturbed replay" true
-    (canon (C.snapshot_world c) = canon (C.snapshot_world control));
-  (* non-vacuity: a successful replay really does move the snapshot *)
-  Alcotest.(check bool) "successful replay changes the world" true
-    (before <> canon (C.snapshot_world c))
+  let cold = hit () in
+  Alcotest.(check bool) "first run compiles" false cold.Serve.r_hit;
+  let undisturbed = hit () in
+  let crashed = hit ~deadline:1 () in
+  Alcotest.(check bool) "crashed run was a hit" true crashed.Serve.r_hit;
+  Alcotest.(check bool) "1-cycle replay trapped on the deadline" true
+    (crashed.Serve.r_trap = Some Cpu.Deadline_expired);
+  let after = hit () in
+  Alcotest.(check bool) "next run is a hit" true after.Serve.r_hit;
+  Alcotest.(check string) "same value" "21"
+    (Oracle.outcome_string after.Serve.r_outcome);
+  Alcotest.(check string) "same value as an undisturbed hit"
+    (Oracle.outcome_string undisturbed.Serve.r_outcome)
+    (Oracle.outcome_string after.Serve.r_outcome);
+  let cycles (r : Serve.result) =
+    match r.Serve.r_exec with
+    | Some e -> e.Serve.e_cycles
+    | None -> Alcotest.failf "%s: no execution" r.Serve.r_file
+  in
+  Alcotest.(check int) "same cycles as an undisturbed hit" (cycles undisturbed)
+    (cycles after);
+  Alcotest.(check string) "same image bytes as an undisturbed hit"
+    undisturbed.Serve.r_image after.Serve.r_image
 
 (* Deadlines ------------------------------------------------------------------- *)
 
@@ -211,6 +199,33 @@ let test_ladder_descends_and_stamps_image () =
       Alcotest.(check bool) "repro flags recorded" true
         (t.Incident.n_flags <> "")
   | ts -> Alcotest.failf "expected 1 terminal incident, got %d" (List.length ts)
+
+(* With every compiled rung starved by a 1-cycle deadline, the ladder
+   reaches its floor: the reference interpreter answers, after one
+   deadline incident per compiled rung. *)
+let test_ladder_reaches_interp_floor () =
+  Obs.reset ();
+  let policy =
+    { Sup.default_policy with Sup.p_degrade = true; p_deadline = Some 1 }
+  in
+  let s = Sup.run_unit ~policy Serve.default_cfg ~file:"<floor>" sample_src in
+  Alcotest.(check string) "disposition" "degraded:interp" s.Sup.s_disposition;
+  Alcotest.(check int) "one attempt per rung" 4 s.Sup.s_attempts;
+  Alcotest.(check int) "retries counted" 3 (Obs.count "serve.retries");
+  Alcotest.(check string) "the reference interpreter's value"
+    (Oracle.outcome_string
+       (Oracle.run_interp (S1_sexp.Reader.parse_string sample_src)))
+    (Oracle.outcome_string s.Sup.s_result.Serve.r_outcome);
+  (match s.Sup.s_result.Serve.r_exec with
+  | Some e -> Alcotest.(check string) "exec value" "21" e.Serve.e_value
+  | None -> Alcotest.fail "interpreter rung reported no execution");
+  Alcotest.(check (list (pair string string)))
+    "a deadline incident per compiled rung"
+    [ ("deadline", "full"); ("deadline", "no-tnbind-pdl"); ("deadline", "boxed") ]
+    (List.map (fun i -> (i.Incident.n_kind, i.Incident.n_rung)) s.Sup.s_incidents);
+  Alcotest.(check (list string)) "only the last incident is terminal"
+    [ ""; ""; "degraded:interp" ]
+    (List.map (fun i -> i.Incident.n_disposition) s.Sup.s_incidents)
 
 (* A degraded image lives under its own content address: it can never be
    served to a full-strength request. *)
@@ -412,18 +427,27 @@ let test_batch_exit_classification () =
 (* Unreadable files ------------------------------------------------------------ *)
 
 let test_unreadable_file_is_io_incident () =
+  let corpus = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
   let missing = Filename.concat (fresh_dir "io") "no-such-file.lisp" in
-  let report = Sup.batch Serve.default_cfg [ missing ] in
-  match report.Sup.b_results with
-  | [ s ] ->
-      Alcotest.(check string) "disposition" "failed" s.Sup.s_disposition;
-      Alcotest.(check bool) "hard failure" true (Sup.hard_failure report);
-      (match s.Sup.s_incidents with
-      | [ inc ] ->
-          Alcotest.(check string) "kind" "io" inc.Incident.n_kind;
-          Alcotest.(check bool) "terminal" true inc.Incident.n_final
-      | incs -> Alcotest.failf "expected 1 io incident, got %d" (List.length incs))
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
+  let files =
+    [ Filename.concat corpus "lambda-beta.lisp"; missing;
+      Filename.concat corpus "tail-recursion.lisp" ]
+  in
+  let report = Sup.batch ~jobs:2 Serve.default_cfg files in
+  Alcotest.(check (list string)) "one result per file, in input order" files
+    (List.map (fun s -> s.Sup.s_result.Serve.r_file) report.Sup.b_results);
+  Alcotest.(check (list string)) "only the unreadable file fails"
+    [ "ok"; "failed"; "ok" ]
+    (List.map (fun s -> s.Sup.s_disposition) report.Sup.b_results);
+  Alcotest.(check bool) "hard failure" true (Sup.hard_failure report);
+  let s = List.nth report.Sup.b_results 1 in
+  Alcotest.(check int) "no attempt made" 0 s.Sup.s_attempts;
+  match report.Sup.b_incidents with
+  | [ inc ] ->
+      Alcotest.(check string) "kind" "io" inc.Incident.n_kind;
+      Alcotest.(check string) "file" missing inc.Incident.n_file;
+      Alcotest.(check bool) "terminal" true inc.Incident.n_final
+  | incs -> Alcotest.failf "expected 1 io incident, got %d" (List.length incs)
 
 (* Journal rendering ------------------------------------------------------------ *)
 
@@ -469,10 +493,10 @@ let () =
           Alcotest.test_case "quarantined, not deleted" `Quick
             test_torn_blob_quarantined_not_deleted;
         ] );
-      ( "transactional",
+      ( "retry",
         [
-          Alcotest.test_case "failed replay is a clean no-op" `Quick
-            test_failed_replay_is_clean_noop;
+          Alcotest.test_case "hit after a crashed hit is clean" `Quick
+            test_hit_after_crashed_hit_is_clean;
         ] );
       ( "deadline",
         [
@@ -483,6 +507,8 @@ let () =
         [
           Alcotest.test_case "descends and stamps the image" `Quick
             test_ladder_descends_and_stamps_image;
+          Alcotest.test_case "reaches the interpreter floor" `Quick
+            test_ladder_reaches_interp_floor;
           Alcotest.test_case "degraded rungs key apart" `Quick
             test_degraded_image_has_distinct_key;
         ] );
