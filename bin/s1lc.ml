@@ -320,7 +320,8 @@ let run phases listing transcript tns interpret repl stats timings profile metri
           ( "files",
             Json.Arr
               (List.map
-                 (fun r ->
+                 (fun s ->
+                   let r = s.Sup.s_result in
                    Json.Obj
                      [
                        ("file", Json.Str r.Serve.r_file);
@@ -330,9 +331,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
                          Json.Obj
                            (List.map
                               (fun (k, v) -> (k, Json.Int v))
-                              r.Serve.r_counters) );
+                              s.Sup.s_counters) );
                      ])
-                 results) )
+                 report.Sup.b_results) )
         in
         let doc =
           match Obs.json () with

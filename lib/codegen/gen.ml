@@ -438,16 +438,6 @@ and gen_into ctx n (dst : Isa.operand) =
   | Some op -> if op <> dst then emit ctx (Isa.Mov (dst, op))
   | None -> gen ctx n (To dst)
 
-(* Evaluate [n] and return an operand for it, possibly emitting code that
-   leaves the value in [preferred].  The returned operand is only valid
-   until the next emitted instruction that could disturb [preferred]. *)
-and gen_operand ctx n (preferred : Isa.operand) : Isa.operand =
-  match simple_operand ctx n with
-  | Some op -> op
-  | None ->
-      gen ctx n (To preferred);
-      preferred
-
 (* Variables ----------------------------------------------------------------- *)
 
 and gen_var ctx n v dest =

@@ -187,15 +187,10 @@ let fold_null = fold_not
 
 (* The table ------------------------------------------------------------- *)
 
-let ar = Some Node.SWFLO (* shorthand *)
-
 let prim ?(pure = true) ?(may_alloc = false) ?(commutative = false) ?(associative = false)
     ?identity ?arg_rep ?res_rep ?fold name min_args max_args =
   { name; min_args; max_args; pure; may_alloc; commutative; associative; identity; arg_rep;
     res_rep; fold }
-
-let flo = Sexp.Float (0.0, Sexp.Single)
-let _ = flo
 
 let table =
   [
@@ -375,8 +370,6 @@ let by_name : (string, t) Hashtbl.t =
 
 let find name = Hashtbl.find_opt by_name name
 let is_primitive name = Hashtbl.mem by_name name
-
-let is_pure name = match find name with Some p -> p.pure | None -> false
 
 (* Which prim calls the code generator compiles inline, by name and
    arity.  Everything else goes through the runtime as a native call

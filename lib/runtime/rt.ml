@@ -633,7 +633,7 @@ let create ?config () =
         S1_obs.Obs.incr
           (match Cpu.provenance_at cpu cpu.Cpu.pc with
           | Some { S1_machine.Asm.m_loc = Some l; _ } ->
-              Printf.sprintf "heap.site.%s:%d" l.S1_loc.Loc.file l.S1_loc.Loc.line
+              "heap.site." ^ S1_loc.Loc.line_key l
           | _ -> "heap.site.unattributed");
       match Hashtbl.find_opt handlers id with
       | Some f ->

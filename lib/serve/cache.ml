@@ -21,9 +21,9 @@
       truncation was a transient read), bounded per key.
 
     A per-key {b circuit breaker} stops the read-verify-quarantine cycle
-    from repeating forever: after [breaker_limit] verification failures
-    for one key, disk lookups for that key are refused until {!store}
-    publishes fresh bytes for it, which resets the breaker.
+    from repeating forever: after {!default_breaker_limit} verification
+    failures for one key, disk lookups for that key are refused until
+    {!store} publishes fresh bytes for it, which resets the breaker.
 
     Counters (in the calling domain's {!Obs} registry):
     - [serve.hits] / [serve.misses] — exactly one per lookup;
@@ -86,9 +86,6 @@ type t = {
   dir : string option;
   lock : Mutex.t;
   mutable lru : (string * string) list;  (** (key, bytes), most recent first *)
-  breaker_limit : int;
-      (** disk verification failures per key before the breaker opens *)
-  readmit_limit : int;  (** re-verify attempts per quarantined key *)
   failures : (string, int) Hashtbl.t;
       (** per-key verification-failure counts (breaker state); in-memory
           only — a fresh cache instance starts with closed breakers *)
@@ -96,7 +93,11 @@ type t = {
 }
 
 let default_capacity = 64
+
+(* Disk verification failures per key before the breaker opens. *)
 let default_breaker_limit = 3
+
+(* Re-verify attempts per quarantined key. *)
 let default_readmit_limit = 2
 
 let rec ensure_dir d =
@@ -106,17 +107,13 @@ let rec ensure_dir d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let create ?dir ?(capacity = default_capacity)
-    ?(breaker_limit = default_breaker_limit)
-    ?(readmit_limit = default_readmit_limit) () =
+let create ?dir ?(capacity = default_capacity) () =
   Option.iter ensure_dir dir;
   {
     capacity = max 1 capacity;
     dir;
     lock = Mutex.create ();
     lru = [];
-    breaker_limit = max 1 breaker_limit;
-    readmit_limit = max 0 readmit_limit;
     failures = Hashtbl.create 16;
     readmits = Hashtbl.create 16;
   }
@@ -166,12 +163,13 @@ let write_file dir k bytes =
     (fun () -> output_string oc bytes);
   Sys.rename tmp final
 
-(* Verification verdict for disk bytes claiming to be key [k]. *)
-type verdict = Good | Stale of string | Corrupt of string
+(* Verification verdict for bytes claiming to be key [k]; sound bytes
+   come back decoded, so nothing downstream decodes them again. *)
+type verdict = Good of Image.t | Stale of string | Corrupt of string
 
 let verify k bytes : verdict =
   match Image.load bytes with
-  | Ok img when img.Image.i_key = k -> Good
+  | Ok img when img.Image.i_key = k -> Good img
   | Ok img -> Stale (Printf.sprintf "stored under foreign key %s" img.Image.i_key)
   | Error (Image.Wrong_schema s) -> Stale (Printf.sprintf "schema %s" s)
   | Error e -> Corrupt (Image.load_error_to_string e)
@@ -180,7 +178,7 @@ let verify k bytes : verdict =
 let breaker_is_open t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.failures k with
-      | Some n -> n >= t.breaker_limit
+      | Some n -> n >= default_breaker_limit
       | None -> false)
 
 (* Count one verification failure; [true] when this one trips the
@@ -189,7 +187,7 @@ let note_failure t k =
   locked t (fun () ->
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.failures k) in
       Hashtbl.replace t.failures k n;
-      n = t.breaker_limit)
+      n = default_breaker_limit)
 
 let breaker_reset t k =
   locked t (fun () ->
@@ -215,7 +213,7 @@ let quarantine t dir k path ~file ~detail =
          ~detail:
            (Printf.sprintf
               "circuit breaker opened after %d verification failures"
-              t.breaker_limit)
+              default_breaker_limit)
          ())
   end
 
@@ -228,7 +226,7 @@ let try_readmit t dir k ~file =
   let allowed =
     locked t (fun () ->
         let n = Option.value ~default:0 (Hashtbl.find_opt t.readmits k) in
-        if n >= t.readmit_limit then false
+        if n >= default_readmit_limit then false
         else begin
           Hashtbl.replace t.readmits k (n + 1);
           true
@@ -246,10 +244,10 @@ let try_readmit t dir k ~file =
         None
     | bytes -> (
         match verify k bytes with
-        | Good ->
+        | Good img ->
             (try Sys.rename qpath (entry_path dir k) with Sys_error _ -> ());
             Obs.incr "serve.readmitted";
-            Some bytes
+            Some (bytes, img)
         | Stale _ | Corrupt _ ->
             if note_failure t k then begin
               Obs.incr "serve.breaker_open";
@@ -258,7 +256,7 @@ let try_readmit t dir k ~file =
                    ~detail:
                      (Printf.sprintf
                         "circuit breaker opened after %d verification failures"
-                        t.breaker_limit)
+                        default_breaker_limit)
                    ())
             end;
             None)
@@ -282,7 +280,7 @@ let disk_find t k ~file =
         | bytes -> (
             Obs.incr ~n:(String.length bytes) "image.bytes_read";
             match verify k bytes with
-            | Good -> Some bytes
+            | Good img -> Some (bytes, img)
             | Stale _ ->
                 Obs.incr "serve.stale";
                 (try Sys.remove path with Sys_error _ -> ());
@@ -292,11 +290,14 @@ let disk_find t k ~file =
                 None)
       end
 
-(** Look up verified image bytes.  Exactly one of [serve.hits] /
+(** Look up a verified image: its bytes and the image they decode to,
+    so the caller runs what the cache checked without decoding it again.
+    Memory and disk entries alike are served only if they verify; a
+    memory entry decodes here, once.  Exactly one of [serve.hits] /
     [serve.misses] fires per call.  [file] is the source path the lookup
     is on behalf of — it labels any incident the lookup raises. *)
-let find ?(file = "") (t : t) (k : string) : string option =
-  let mem_hit =
+let lookup ?(file = "") (t : t) (k : string) : (string * Image.t) option =
+  let mem_bytes =
     locked t (fun () ->
         match List.assoc_opt k t.lru with
         | Some bytes ->
@@ -304,19 +305,25 @@ let find ?(file = "") (t : t) (k : string) : string option =
             Some bytes
         | None -> None)
   in
-  match mem_hit with
-  | Some bytes ->
-      Obs.incr "serve.hits";
-      Some bytes
-  | None -> (
-      match disk_find t k ~file with
-      | Some bytes ->
-          locked t (fun () -> put_front t k bytes);
-          Obs.incr "serve.hits";
-          Some bytes
-      | None ->
-          Obs.incr "serve.misses";
-          None)
+  let found =
+    match Option.map (fun bytes -> (bytes, verify k bytes)) mem_bytes with
+    | Some (bytes, Good img) -> Some (bytes, img)
+    | Some (_, (Stale _ | Corrupt _)) | None ->
+        (* a memory entry that fails to verify (only bytes a caller
+           stored by hand can) is a memory miss *)
+        let found = disk_find t k ~file in
+        Option.iter
+          (fun (bytes, _) -> locked t (fun () -> put_front t k bytes))
+          found;
+        found
+  in
+  Obs.incr (if Option.is_some found then "serve.hits" else "serve.misses");
+  found
+
+(** The bytes of {!lookup}'s image, for callers that only store or
+    compare them. *)
+let find ?file (t : t) (k : string) : string option =
+  Option.map fst (lookup ?file t k)
 
 (** Publish image bytes under their key, in memory and (when configured)
     on disk.  Fresh bytes close the key's circuit breaker — we just
@@ -329,8 +336,6 @@ let store (t : t) (k : string) (bytes : string) : unit =
   | Some dir ->
       write_file dir k bytes;
       Obs.incr ~n:(String.length bytes) "image.bytes_written"
-
-let in_memory (t : t) : int = locked t (fun () -> List.length t.lru)
 
 (** On-disk location of a key's blob, when the cache has a disk store.
     Exposed for fault injection (chaos corrupts blobs in place) and for

@@ -21,8 +21,8 @@
     with the call, so a failed run leaves nothing behind to roll back.
     All compiler state is either per-instance ({!S1_core.Compiler.t}) or
     domain-local ({!S1_par.Dls}), so {!Supervise.batch} can run units on
-    worker domains; each file's counter delta is carried in its
-    {!result} for the batch to merge in input order. *)
+    worker domains.  Counter deltas are the supervisor's: it takes one
+    per unit ({!Supervise.run_unit}) and merges them in input order. *)
 
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
@@ -325,7 +325,6 @@ type result = {
   r_image : string;  (** serialized image bytes; [""] if the compile failed *)
   r_outcome : Oracle.outcome;
   r_exec : exec option;  (** populated on normal completion *)
-  r_counters : Obs.snapshot;  (** this file's counter delta, for merging *)
   r_trap : Cpu.trap_kind option;
       (** machine trap behind a [Crash] outcome, when there was one —
           the supervisor's retry ladder keys off this *)
@@ -354,44 +353,38 @@ let structured (f : unit -> exec) :
       (outcome, None, trap)
 
 (** Compile-or-load one file through the service: cache lookup by
-    content address, cold compile + capture + store on miss, verified
-    load + replay on hit.  Runs the program either way and never lets an
+    content address, cold compile + capture + store on miss, replay of
+    the image the cache verified and decoded on hit (it is not decoded
+    again here).  Runs the program either way and never lets an
     exception escape. *)
 let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
     (src : string) : result =
-  let t0 = Obs.snapshot () in
   let k = key_of cfg src in
-  let cold () =
-    let img = ref None in
-    let outcome, exec, trap =
-      structured (fun () ->
-          let i, e =
-            compile_cold cfg ?prepare ?fuel ?deadline ?degraded ~file ~key:k src
-          in
-          img := Some i;
-          e)
-    in
-    match !img with
-    | Some i ->
-        let bytes = Image.save i in
-        Option.iter (fun t -> Cache.store t k bytes) cache;
-        (false, bytes, outcome, exec, trap)
-    | None -> (false, "", outcome, exec, trap)
-  in
-  let hit, bytes, outcome, exec, trap =
-    match Option.bind cache (fun t -> Cache.find ~file t k) with
-    | Some bytes -> (
-        match Image.load bytes with
-        | Ok img ->
-            let outcome, exec, trap =
-              structured (fun () -> execute cfg ?prepare ?fuel ?deadline img)
-            in
-            (true, bytes, outcome, exec, trap)
-        | Error _ ->
-            (* the cache verifies before serving, so this is unreachable;
-               degrade to a from-source compile rather than fail *)
-            cold ())
-    | None -> cold ()
+  let hit, bytes, (outcome, exec, trap) =
+    match Option.bind cache (fun t -> Cache.lookup ~file t k) with
+    | Some (bytes, img) ->
+        ( true,
+          bytes,
+          structured (fun () -> execute cfg ?prepare ?fuel ?deadline img) )
+    | None ->
+        let img = ref None in
+        let run =
+          structured (fun () ->
+              let i, e =
+                compile_cold cfg ?prepare ?fuel ?deadline ?degraded ~file ~key:k src
+              in
+              img := Some i;
+              e)
+        in
+        let bytes =
+          match !img with
+          | Some i ->
+              let bytes = Image.save i in
+              Option.iter (fun t -> Cache.store t k bytes) cache;
+              bytes
+          | None -> ""
+        in
+        (false, bytes, run)
   in
   {
     r_file = file;
@@ -400,7 +393,6 @@ let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
     r_image = bytes;
     r_outcome = outcome;
     r_exec = exec;
-    r_counters = Obs.diff ~before:t0 ();
     r_trap = Option.map fst trap;
     r_loc = Option.bind trap snd;
   }

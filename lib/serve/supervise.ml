@@ -62,9 +62,10 @@ let default_policy =
 (* Supervised results ---------------------------------------------------- *)
 
 type sup_result = {
-  s_result : Serve.result;
-      (** the final attempt's service result; its [r_counters] is the
-          whole unit's delta (all attempts, retries included) *)
+  s_result : Serve.result;  (** the final attempt's service result *)
+  s_counters : Obs.snapshot;
+      (** the unit's counter delta — every attempt, retries included —
+          and the only one taken per unit *)
   s_rung : C.degrade_level;  (** rung that produced the final result *)
   s_attempts : int;
   s_disposition : string;  (** "ok" | "degraded:<rung>" | "failed" *)
@@ -80,7 +81,6 @@ let degraded (s : sup_result) : bool =
    the reference interpreter, reported through the same structured
    result shape so callers need not care which engine answered. *)
 let interp_rung ~key ~file (src : string) : Serve.result =
-  let before = Obs.snapshot () in
   let world = ref None in
   let outcome =
     match
@@ -109,7 +109,6 @@ let interp_rung ~key ~file (src : string) : Serve.result =
     r_image = "";
     r_outcome = outcome;
     r_exec = exec;
-    r_counters = Obs.diff ~before ();
     r_trap = None;
     r_loc = None;
   }
@@ -202,7 +201,8 @@ let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
     incidents;
   Incident.mark_terminal ~disposition incidents;
   {
-    s_result = { result with Serve.r_counters = Obs.diff ~before () };
+    s_result = result;
+    s_counters = Obs.diff ~before ();
     s_rung = rung;
     s_attempts = attempts;
     s_disposition = disposition;
@@ -246,10 +246,10 @@ let failed_unit ~kind ~attempts ?flags ?seed ~file (detail : string) :
         r_image = "";
         r_outcome = Oracle.Crash detail;
         r_exec = None;
-        r_counters = [];
         r_trap = None;
         r_loc = None;
       };
+    s_counters = [];
     s_rung = C.Full_opt;
     s_attempts = attempts;
     s_disposition = "failed";
@@ -259,8 +259,10 @@ let failed_unit ~kind ~attempts ?flags ?seed ~file (detail : string) :
 (* The batch driver: [jobs] worker domains, crash isolation, optional
    seeded chaos.  Each worker reads its unit's source itself
    ([read] may raise [Sys_error]: that unit fails with an [io]
-   incident in its own slot).  Results come back in input order and
-   every worker's counter deltas are merged into the calling domain's
+   incident in its own slot).  A worker's registry starts empty for
+   every unit: it feeds nothing but the unit's delta, so it stays as
+   small as one unit however long the batch.  Results come back in
+   input order and the deltas are merged into the calling domain's
    registry in input order, so every observable output is identical
    for any [jobs]. *)
 let run_batch ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
@@ -289,6 +291,7 @@ let run_batch ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
                 | None -> Chaos.Bnone
                 | Some seed -> Chaos.batch_fault_for ~seed ~index:i
               in
+              Obs.reset ();
               run_unit ?cache ~policy ~fault ?seed:chaos cfg ~file src
         in
         results.(i) <- Some r;
@@ -334,7 +337,7 @@ let run_batch ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
   in
   List.iter
     (fun s ->
-      List.iter (fun (k, v) -> Obs.incr ~n:v k) s.s_result.Serve.r_counters)
+      List.iter (fun (k, v) -> Obs.incr ~n:v k) s.s_counters)
     rs;
   report_of rs
 
@@ -455,9 +458,7 @@ let chaos_smoke ?(seed = 11) ?(count = 12) ?(jobs = 4) ~dir () : smoke_report =
       (List.length chaos.b_results) count;
   (* 3c: quarantined and stale are disjoint classifications; corruption
      must never be silently deleted as stale *)
-  let merged =
-    List.concat_map (fun s -> s.s_result.Serve.r_counters) chaos.b_results
-  in
+  let merged = List.concat_map (fun s -> s.s_counters) chaos.b_results in
   let total k =
     List.fold_left (fun acc (k', v) -> if k' = k then acc + v else acc) 0 merged
   in

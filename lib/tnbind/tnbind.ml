@@ -87,17 +87,6 @@ let touch pool tn =
   tn.tn_uses <- tn.tn_uses + 1;
   tn.tn_last <- max tn.tn_last pool.clock
 
-(* Mark every TN whose lifetime spans the current clock as crossing a
-   call (records a "call event" at the current time). *)
-let call_event pool =
-  let t = tick pool in
-  List.iter (fun tn -> if tn.tn_first < t then tn.tn_across_call <- true) pool.tns
-
-(* After lifetimes are final, close every TN at the current clock when it
-   may be re-entered (loop bodies): the caller extends [tn_last]
-   explicitly for loop-carried variables. *)
-let extend_to pool tn = tn.tn_last <- max tn.tn_last pool.clock
-
 let overlap a b = a.tn_first <= b.tn_last && b.tn_first <= a.tn_last
 
 (* Frame slot allocators. *)

@@ -424,6 +424,27 @@ let test_stale_disk_entry () =
   Alcotest.(check string)
     "recompiled to identical bytes" r1.Serve.r_image r2.Serve.r_image
 
+(* A hit hands back the image the cache verified together with its
+   bytes, from disk (a fresh instance's memory is empty) and from
+   memory (the disk blob is gone by then). *)
+let test_lookup_hands_back_verified_image () =
+  let dir = fresh_dir "lookup" in
+  let cache = Cache.create ~dir () in
+  let cold = Serve.compile_file ~cache Serve.default_cfg ~file:"<l>" sample_src in
+  let k = cold.Serve.r_key in
+  let check_hit what = function
+    | Some (bytes, img) ->
+        Alcotest.(check string) (what ^ ": the cold image's bytes")
+          cold.Serve.r_image bytes;
+        Alcotest.(check string) (what ^ ": the image saves to those bytes")
+          bytes (Image.save img)
+    | None -> Alcotest.failf "%s: lookup missed" what
+  in
+  let cache2 = Cache.create ~dir () in
+  check_hit "disk hit" (Cache.lookup ~file:"<l>" cache2 k);
+  Sys.remove (Option.get (Cache.blob_path cache2 k));
+  check_hit "memory hit" (Cache.lookup ~file:"<l>" cache2 k)
+
 (* DEFMACRO through the cache: the cold run pays for the compile-time
    expander calls on the simulated machine; the warm replay must not.
    Pin the direction of the delta and the determinism of both sides. *)
@@ -495,24 +516,29 @@ let test_batch_parallel_matches_sequential () =
   let files =
     List.map (Filename.concat corpus_dir) (corpus_files ())
   in
-  let seq = batch ~jobs:1 files in
-  let par = batch ~jobs:4 files in
+  let run jobs = (Sup.batch ~jobs Serve.default_cfg files).Sup.b_results in
+  let seq = run 1 and par = run 4 in
+  let results = List.map (fun s -> s.Sup.s_result) in
   Alcotest.(check (list (triple string string string)))
     "-j 4 produces byte-identical images in input order"
-    (batch_fingerprint seq) (batch_fingerprint par);
+    (batch_fingerprint (results seq)) (batch_fingerprint (results par));
   List.iter2
-    (fun (s : Serve.result) (p : Serve.result) ->
+    (fun (s : Sup.sup_result) (p : Sup.sup_result) ->
+      let file = s.Sup.s_result.Serve.r_file in
       Alcotest.(check string)
-        (s.Serve.r_file ^ ": same outcome")
-        (S1_fuzz.Oracle.outcome_string s.Serve.r_outcome)
-        (S1_fuzz.Oracle.outcome_string p.Serve.r_outcome);
+        (file ^ ": same outcome")
+        (S1_fuzz.Oracle.outcome_string s.Sup.s_result.Serve.r_outcome)
+        (S1_fuzz.Oracle.outcome_string p.Sup.s_result.Serve.r_outcome);
       Alcotest.(check (list (pair string int)))
-        (s.Serve.r_file ^ ": same counter delta")
-        s.Serve.r_counters p.Serve.r_counters)
+        (file ^ ": same counter delta")
+        s.Sup.s_counters p.Sup.s_counters)
     seq par
 
 let test_batch_warm_over_shared_cache () =
   Obs.reset ();
+  (* workers reset their own registries per unit; the caller's keeps
+     what it had *)
+  Obs.incr ~n:7 "test.caller_own";
   let dir = fresh_dir "batchcache" in
   let files = List.map (Filename.concat corpus_dir) (corpus_files ()) in
   let cache = Cache.create ~dir ~capacity:4 () in
@@ -533,7 +559,9 @@ let test_batch_warm_over_shared_cache () =
     cold warm;
   (* merged counters: the calling domain saw every worker's hits *)
   Alcotest.(check int)
-    "all warm lookups hit" (List.length files) (Obs.count "serve.hits")
+    "all warm lookups hit" (List.length files) (Obs.count "serve.hits");
+  Alcotest.(check int)
+    "caller's own counter untouched by the batch" 7 (Obs.count "test.caller_own")
 
 (* World lifecycle -------------------------------------------------------------- *)
 
@@ -643,6 +671,8 @@ let () =
           Alcotest.test_case "eviction and counters" `Quick
             test_eviction_and_counters;
           Alcotest.test_case "stale disk entry" `Quick test_stale_disk_entry;
+          Alcotest.test_case "lookup hands back the verified image" `Quick
+            test_lookup_hands_back_verified_image;
           Alcotest.test_case "defmacro warm cycle delta" `Quick
             test_defmacro_warm_cycle_delta;
         ] );

@@ -255,8 +255,7 @@ let test_degraded_image_has_distinct_key () =
 let test_breaker_opens_and_store_resets () =
   Obs.reset ();
   let dir = fresh_dir "breaker" in
-  (* readmit_limit 0 keeps readmission out of this test's arithmetic *)
-  let cache = Cache.create ~dir ~readmit_limit:0 () in
+  let cache = Cache.create ~dir () in
   let src = "(+ 2 3)" in
   let r1 = Serve.compile_file ~cache Serve.default_cfg ~file:"<br>" src in
   let k = r1.Serve.r_key in
