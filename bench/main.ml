@@ -212,7 +212,7 @@ let t4_e7 () =
   section "E7: Optimizer transcript for TESTFN (paper §7)";
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
-  let listing, ts = C.listing_of c (Reader.parse_one testfn_src) in
+  let listing, _, ts = C.listing_of c (Reader.parse_one testfn_src) in
   print_string (S1_obs.Remark.transcript ts);
   section "T4: Generated code for TESTFN (paper Table 4)";
   print_endline listing;
@@ -227,7 +227,7 @@ let t4_e7 () =
 let e5 () =
   section "E5: Boolean short-circuiting (paper §5)";
   let c = C.create () in
-  let listing, ts =
+  let listing, _, ts =
     C.listing_of c
       (Reader.parse_one "(defun choose (a b c e1 e2) (if (and a (or b c)) e1 e2))")
   in

@@ -183,6 +183,14 @@ let metrics_json ~(cpu : Cpu.t) ~(file_deltas : (string * (string * int) list) l
         @ files_json)
   | other -> other
 
+(* The compile service's counters, pre-seeded at zero in both modes so
+   every metrics document lists them even when they never move. *)
+let service_counters =
+  [ "serve.hits"; "serve.misses"; "serve.evictions"; "serve.stale";
+    "serve.quarantined"; "serve.readmitted"; "serve.breaker_open";
+    "serve.retries"; "serve.degraded"; "serve.deadline";
+    "serve.worker_crashes"; "image.bytes_written"; "image.bytes_read" ]
+
 let run phases listing transcript tns interpret repl stats timings profile metrics trace
     annotate folded trace_events remarks remarks_json diff_runs diff_threshold
     (rules, options) cse strict fuzz chaos seed fuzz_report serve_batch jobs cache_dir
@@ -256,11 +264,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       exit 2
     end;
     Obs.reset ();
-    List.iter (Obs.incr ~n:0)
-      [ "serve.hits"; "serve.misses"; "serve.evictions"; "serve.stale";
-        "serve.quarantined"; "serve.readmitted"; "serve.breaker_open";
-        "serve.retries"; "serve.degraded"; "serve.deadline";
-        "serve.worker_crashes"; "image.bytes_written"; "image.bytes_read" ];
+    List.iter (Obs.incr ~n:0) service_counters;
     let cache = Cache.create ?dir:cache_dir ~capacity:cache_capacity () in
     let cfg = { Serve.sv_rules = rules; sv_options = options; sv_cse = cse } in
     let policy =
@@ -391,10 +395,8 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       "heap.alloc.bignum"; "heap.alloc.closure"; "heap.alloc.vector"; "heap.alloc.words";
       "heap.gc.collections"; "heap.gc.words_swept"; "heap.gc.pause_cycles";
       "heap.certified_escapes"; "machine.calls"; "machine.tcalls"; "machine.stack_high";
-      "machine.bind_high"; "serve.hits"; "serve.misses"; "serve.evictions";
-      "serve.stale"; "serve.quarantined"; "serve.readmitted"; "serve.breaker_open";
-      "serve.retries"; "serve.degraded"; "serve.deadline"; "serve.worker_crashes";
-      "image.bytes_written"; "image.bytes_read" ];
+      "machine.bind_high" ];
+  List.iter (Obs.incr ~n:0) service_counters;
   Cpu.reset_stats c.C.rt.Rt.cpu;
   (* --annotate needs per-PC cycle counts and the loaded programs *)
   if profile || annotate then Cpu.enable_profile c.C.rt.Rt.cpu;
@@ -414,10 +416,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   end;
   let process_form form =
     if listing || transcript || tns then begin
-      let l, journal = C.listing_of c form in
+      let l, tn_report, journal = C.listing_of c form in
       if transcript then print_string (Remark.transcript journal);
-      if tns then
-        (match c.C.last_tn_report with Some r -> print_string r | None -> ());
+      if tns then print_string tn_report;
       if listing then print_endline l;
       (* also actually evaluate, for defuns and effects *)
       match form with
@@ -440,14 +441,21 @@ let run phases listing transcript tns interpret repl stats timings profile metri
     Printf.eprintf "s1lc: %s: %s\n" where msg;
     exit code
   in
-  (* Obs counters are process-global; in batch mode the metrics document
-     scopes them back per input by snapshotting around each unit, so one
-     file's numbers never bleed into the next file's entry *)
+  (* Obs counters accumulate over the whole run in this domain's
+     registry; under --metrics the document scopes them back per input
+     by snapshotting around each unit, so one file's numbers never bleed
+     into the next file's entry.  Newest first. *)
   let file_deltas : (string * (string * int) list) list ref = ref [] in
+  let with_file_delta ~file f =
+    match metrics with
+    | None -> f ()
+    | Some _ ->
+        let before = Obs.snapshot () in
+        Fun.protect f ~finally:(fun () ->
+            file_deltas := (file, Obs.diff ~before ()) :: !file_deltas)
+  in
   let process_string ~file src =
-    let before = Obs.snapshot () in
-    let record_deltas () = file_deltas := !file_deltas @ [ (file, Obs.diff ~before ()) ] in
-    Fun.protect ~finally:record_deltas @@ fun () ->
+    with_file_delta ~file @@ fun () ->
     Hashtbl.replace sources file (Array.of_list (String.split_on_char '\n' src));
     match Reader.parse_string_located ~file src with
     | forms, tab ->
@@ -599,7 +607,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   (match metrics with
   | None -> ()
   | Some file ->
-      let doc = metrics_json ~cpu:c.C.rt.Rt.cpu ~file_deltas:!file_deltas () in
+      let doc = metrics_json ~cpu:c.C.rt.Rt.cpu ~file_deltas:(List.rev !file_deltas) () in
       let oc = open_out file in
       output_string oc (Json.to_string doc);
       output_char oc '\n';

@@ -47,7 +47,7 @@ let () =
   print_endline "  Phase structure (the paper's Table 1):";
   List.iter (fun p -> Printf.printf "    - %s\n" p) C.phases;
 
-  let listing, transcript =
+  let listing, _, transcript =
     C.listing_of c (Reader.parse_one "(defun poly (x) (declare (single-float x)) (+$f (*$f x x) x 1.0))")
   in
   print_endline "\n  Optimizer transcript for (defun poly (x) ... (+$f (*$f x x) x 1.0)):";

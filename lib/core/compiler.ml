@@ -14,9 +14,17 @@
     v}
 
     Compilation happens {e into a live Lisp world} (as on the real
-    system): quoted constants intern immediately, and compiled functions
-    install into symbol function cells, callable from compiled and
-    interpreted code alike. *)
+    system), by one load path.  The code generator runs against a
+    recording world ({!Cunit.recording_world}), so every compile yields
+    a loadable unit: a sentinel program plus the recipe of world
+    requests.  {!install} resolves the recipe against the live world
+    (quoted constants intern, cells allocate, in the compile's order)
+    and loads the code; compiled functions install into symbol function
+    cells, callable from compiled and interpreted code alike.  The
+    compile service's images hold the same units, one {!Cunit.action}
+    per top-level form as {!eval_action} builds them, and
+    {!replay_action} installs them into a fresh world through the same
+    {!install}. *)
 
 module Sexp = S1_sexp.Sexp
 module Cpu = S1_machine.Cpu
@@ -78,11 +86,6 @@ type t = {
   mutable cse : bool;
       (** run the optional common-subexpression-elimination phase (the
           paper's §4.3, off in the shipped compiler) *)
-  mutable keep_listing : bool;
-      (** keep each unit's assembly listing and TN report
-          ([last_listing], [last_tn_report]) *)
-  mutable last_listing : string option;
-  mutable last_tn_report : string option;
   macros : (string, int) Hashtbl.t;
       (** DEFMACRO expanders: macro name -> compiled function word *)
   mutable locs : S1_sexp.Reader.loctab option;
@@ -98,14 +101,6 @@ type t = {
           rollback machinery a real pass bug would.  Instance-scoped so
           concurrent compiler instances (batch workers) cannot bleed
           hooks into each other. *)
-  mutable world_wrap : Gen.world -> Gen.world;
-      (** interposed on the world handed to the code generator; the
-          compile service wraps it with a recording world that captures
-          the world-reference recipe of each unit for serialization *)
-  mutable unit_filter : name:string -> Gen.compiled -> Gen.compiled;
-      (** interposed on each compiled unit before it is installed; the
-          compile service captures the unit here and returns it with
-          world references resolved against the live world *)
 }
 
 let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_config)
@@ -120,16 +115,11 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     unit_disabled = [];
     rules;
     cse;
-    keep_listing = false;
-    last_listing = None;
-    last_tn_report = None;
     macros = Hashtbl.create 8;
     locs = None;
     record_code = false;
     code_log = [];
     pass_hook = (fun _ _ -> ());
-    world_wrap = Fun.id;
-    unit_filter = (fun ~name:_ compiled -> compiled);
   }
 
 let world_of (c : t) : Gen.world =
@@ -314,23 +304,26 @@ let run_phases (c : t) (lam_node : Node.node) : unit =
       if List.mem "repan" c.unit_disabled || List.mem "pdlnum" c.unit_disabled then
         pointerize lam_node)
 
-(* Install an already-generated unit into the live world: load the code,
-   build the function object, and patch nested-closure cells.  Returns
-   the function word.  The program must contain only live-world operands
-   (label operands aside) — the compile service resolves its serialized
-   world references before calling this. *)
-let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
+(* Install a unit into the live world: resolve its recipe against this
+   world, substitute the resolved words for the sentinels, load the
+   code, build the function object, and patch nested-closure cells.
+   Cold compiles and image replays both load through here.  Returns the
+   function word and the resolved program. *)
+let install (c : t) (u : Cunit.unit_img) : int * Asm.program =
+  let words = Cunit.resolve_refs (world_of c) u.Cunit.u_refs in
+  let prog = Cunit.subst_program words u.Cunit.u_prog in
+  let name = u.Cunit.u_name in
   let code_lo = c.rt.Rt.cpu.Cpu.code_len in
-  let image = Obs.with_span "load" (fun () -> Cpu.load c.rt.Rt.cpu compiled.Gen.c_prog) in
-  if c.record_code then c.code_log <- (name, compiled.Gen.c_prog, code_lo) :: c.code_log;
+  let image = Obs.with_span "load" (fun () -> Cpu.load c.rt.Rt.cpu prog) in
+  if c.record_code then c.code_log <- (name, prog, code_lo) :: c.code_log;
   (* symbolize the loaded range (closures compiled into the same program
      fold under the outer function's name) for the cycle profiler *)
   Cpu.add_symbol c.rt.Rt.cpu ~lo:code_lo ~hi:c.rt.Rt.cpu.Cpu.code_len ~name;
-  let entry = Cpu.label_addr image compiled.Gen.c_entry in
+  let entry = Cpu.label_addr image u.Cunit.u_entry in
   let name_sym = Rt.intern c.rt name in
   let fobj =
     Obj.code ~where:`Static c.rt.Rt.obj ~entry ~name:name_sym
-      ~min_args:compiled.Gen.c_min_args ~max_args:compiled.Gen.c_max_args
+      ~min_args:u.Cunit.u_min_args ~max_args:u.Cunit.u_max_args
   in
   (* nested closures: build their code objects and patch the cells *)
   List.iter
@@ -341,13 +334,14 @@ let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
         Obj.code ~where:`Static c.rt.Rt.obj ~entry:centry ~name:csym ~min_args:cmin
           ~max_args:cmax
       in
-      Mem.write c.rt.Rt.mem cell cobj)
-    compiled.Gen.c_fixups;
-  fobj
+      Mem.write c.rt.Rt.mem (Cunit.subst_word words cell) cobj)
+    u.Cunit.u_fixups;
+  (fobj, prog)
 
-(* Compile a lambda node and install it into the world.  Returns the
-   function word. *)
-let load_lambda (c : t) ~name (lam_node : Node.node) : int =
+(* Compile a lambda node against a recording world and install the
+   unit.  Returns the unit (with its resolved listing) and the function
+   word. *)
+let load_lambda (c : t) ~name (lam_node : Node.node) : Cunit.unit_img * int =
   Obs.with_span "compile" (fun () ->
   (* fill unlocated nodes from their nearest located ancestor so every
      emitted instruction can resolve to a source line *)
@@ -366,49 +360,67 @@ let load_lambda (c : t) ~name (lam_node : Node.node) : int =
   let saved_fallback = !fallback in
   fallback :=
     (fun ~pass ~reason -> record_incident c ~pass ~reason ~loc:lam_node.Node.n_loc);
+  let world, recipe = Cunit.recording_world () in
   let compiled =
     Fun.protect
       ~finally:(fun () -> fallback := saved_fallback)
-      (fun () -> Gen.compile_function (c.world_wrap (world_of c)) ~options ~name lam_node)
+      (fun () -> Gen.compile_function world ~options ~name lam_node)
   in
-  let compiled = c.unit_filter ~name compiled in
-  if c.keep_listing then begin
-    c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
-    c.last_tn_report <- Some compiled.Gen.c_tn_report
-  end;
-  install_compiled c ~name compiled)
+  let u =
+    {
+      Cunit.u_name = name;
+      u_prog = compiled.Gen.c_prog;
+      u_entry = compiled.Gen.c_entry;
+      u_min_args = compiled.Gen.c_min_args;
+      u_max_args = compiled.Gen.c_max_args;
+      u_fixups = compiled.Gen.c_fixups;
+      u_refs = recipe ();
+      u_listing = "";
+      u_tn_report = compiled.Gen.c_tn_report;
+    }
+  in
+  let fobj, prog = install c u in
+  ({ u with Cunit.u_listing = Asm.listing prog }, fobj))
 
 (* Top-level form processing -------------------------------------------------- *)
 
-let compile_defun (c : t) (form : Sexp.t) : string =
+let compile_defun (c : t) (form : Sexp.t) : Cunit.unit_img * int =
   let name, lam_node =
     Obs.with_span "convert" (fun () ->
         Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs form)
   in
-  let fobj = load_lambda c ~name lam_node in
-  Rt.set_function c.rt (Rt.intern c.rt name) fobj;
-  name
+  let u, fobj = load_lambda c ~name lam_node in
+  let sym = Rt.intern c.rt name in
+  Rt.set_function c.rt sym fobj;
+  (u, sym)
 
-let compile_expression (c : t) (form : Sexp.t) : int =
-  (* wrap in a nullary function, compile, call *)
+(* Wrap an expression in a nullary function named [name], compile and
+   install it (without calling it). *)
+let compile_nullary (c : t) ~name (form : Sexp.t) : Cunit.unit_img * int =
   let expr =
     Obs.with_span "convert" (fun () ->
         Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
           form)
   in
-  let lam_node = Node.lambda ~name:"%TOPLEVEL" [] expr in
+  let lam_node = Node.lambda ~name [] expr in
   (* the synthetic wrapper carries the form's own position *)
   lam_node.Node.n_loc <- expr.Node.n_loc;
   (match lam_node.Node.kind with
   | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
   | _ -> ());
-  let fobj = load_lambda c ~name:"%TOPLEVEL" lam_node in
-  Rt.call c.rt fobj []
+  load_lambda c ~name lam_node
 
-let eval (c : t) (form : Sexp.t) : int =
+let compile_expression (c : t) (form : Sexp.t) : Cunit.unit_img * int =
+  let u, fobj = compile_nullary c ~name:"%TOPLEVEL" form in
+  (u, Rt.call c.rt fobj [])
+
+(** Compile-evaluate one top-level form: its value, and the action that
+    replays its world effects from the compiled units alone. *)
+let eval_action (c : t) (form : Sexp.t) : Cunit.action * int =
   match form with
   | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _) ->
-      Rt.intern c.rt (compile_defun c form)
+      let u, sym = compile_defun c form in
+      (Cunit.Defun u, sym)
   | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: Sexp.List params :: body) ->
       (* compile the expander as an anonymous function over the raw forms *)
       let expander_form =
@@ -419,23 +431,49 @@ let eval (c : t) (form : Sexp.t) : int =
         Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
           expander_form
       in
-      let fobj = load_lambda c ~name:mname lam_node in
+      let u, fobj = load_lambda c ~name:mname lam_node in
       Hashtbl.replace c.macros name fobj;
-      Rt.intern c.rt name
+      (Cunit.Defmacro (name, u), Rt.intern c.rt name)
   | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; init ] ->
       let sym = Rt.intern c.rt name in
       Rt.proclaim_special c.rt sym;
-      let v = compile_expression c init in
+      let u, v = compile_expression c init in
+      Rt.set_symbol_value_dynamic c.rt sym v;
+      (Cunit.Defvar (name, u), sym)
+  | Sexp.List [ Sexp.Sym "PROCLAIM"; Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
+      let names = List.filter_map (function Sexp.Sym n -> Some n | _ -> None) names in
+      List.iter (fun n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)) names;
+      (Cunit.Proclaim names, c.rt.Rt.nil)
+  | _ ->
+      let u, v = compile_expression c form in
+      (Cunit.Toplevel u, v)
+
+(** Replay an action into this world: each arm has the world effects of
+    the matching {!eval_action} arm, in the same order, with the unit
+    installed from its image instead of compiled. *)
+let replay_action (c : t) (a : Cunit.action) : int =
+  let load u = fst (install c u) in
+  match a with
+  | Cunit.Defun u ->
+      let fobj = load u in
+      let sym = Rt.intern c.rt u.Cunit.u_name in
+      Rt.set_function c.rt sym fobj;
+      sym
+  | Cunit.Defmacro (name, u) ->
+      Hashtbl.replace c.macros name (load u);
+      Rt.intern c.rt name
+  | Cunit.Defvar (name, u) ->
+      let sym = Rt.intern c.rt name in
+      Rt.proclaim_special c.rt sym;
+      let v = Rt.call c.rt (load u) [] in
       Rt.set_symbol_value_dynamic c.rt sym v;
       sym
-  | Sexp.List [ Sexp.Sym "PROCLAIM"; Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
-      List.iter
-        (function
-          | Sexp.Sym n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)
-          | _ -> ())
-        names;
+  | Cunit.Proclaim names ->
+      List.iter (fun n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)) names;
       c.rt.Rt.nil
-  | _ -> compile_expression c form
+  | Cunit.Toplevel u -> Rt.call c.rt (load u) []
+
+let eval (c : t) (form : Sexp.t) : int = snd (eval_action c form)
 
 let eval_string ?(file = "<eval>") (c : t) (src : string) : int =
   let forms, tab = S1_sexp.Reader.parse_string_located ~file src in
@@ -457,30 +495,22 @@ let eval_print (c : t) (forms : Sexp.t list) : string =
 
 (* Introspection --------------------------------------------------------------- *)
 
-(* Compile [form] for its listing, returning the listing and the
-   unit's journal entries (the §7 transcript is their rewrite view). *)
-let listing_of (c : t) (form : Sexp.t) : string * S1_obs.Remark.t list =
-  let saved = c.keep_listing in
-  c.keep_listing <- true;
-  Fun.protect
-    ~finally:(fun () -> c.keep_listing <- saved)
-    (fun () ->
-      let journal =
-        S1_obs.Remark.capture (fun () ->
-            match form with
-            | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ignore (compile_defun c form)
-            | _ ->
-                let expr =
-                  Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c)
-                    ?locs:c.locs form
-                in
-                let lam_node = Node.lambda ~name:"%LISTING" [] expr in
-                lam_node.Node.n_loc <- expr.Node.n_loc;
-                (match lam_node.Node.kind with
-                | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
-                | _ -> ());
-                ignore (load_lambda c ~name:"%LISTING" lam_node))
-      in
-      ((match c.last_listing with Some l -> l | None -> ""), journal))
+(* Compile [form] for its listing: a DEFUN is defined, any other form
+   is compiled and installed but not run.  Returns the unit's listing,
+   its TN report, and its journal entries (the §7 transcript is their
+   rewrite view). *)
+let listing_of (c : t) (form : Sexp.t) : string * string * S1_obs.Remark.t list =
+  let views = ref ("", "") in
+  let journal =
+    S1_obs.Remark.capture (fun () ->
+        let u, _ =
+          match form with
+          | Sexp.List (Sexp.Sym "DEFUN" :: _) -> compile_defun c form
+          | _ -> compile_nullary c ~name:"%LISTING" form
+        in
+        views := (u.Cunit.u_listing, u.Cunit.u_tn_report))
+  in
+  let listing, tn_report = !views in
+  (listing, tn_report, journal)
 
 let print_value (c : t) w = Rt.print_value c.rt w

@@ -40,8 +40,7 @@ let create () =
 
 (* The registry all instrumentation points use: one per domain, so batch
    workers ([lib/serve]) measure their own compilations without
-   interleaving.  On the main domain this is the same process-global
-   singleton it always was. *)
+   interleaving. *)
 let default_key : t S1_par.Dls.t = S1_par.Dls.create create
 let default () = S1_par.Dls.get default_key
 

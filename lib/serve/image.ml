@@ -43,53 +43,9 @@ let schema_version = "s1lisp.image/2"
    with the tail. *)
 let envelope_prefix = "{\"schema\":\"s1lisp.image/"
 
-(* Sentinels ------------------------------------------------------------ *)
-
-(* World-dependent words in a serialized program are placeholders far
-   above the 36-bit machine word space: sentinel [i] stands for the
-   result of the [i]th world request in the unit's recipe.  Nothing
-   downstream of the generator inspects immediate values (the peephole
-   rewrites control flow only, and operand cost classes the sentinel
-   range with every other non-short immediate), so a sentinel program
-   assembles and costs exactly like its resolved counterpart. *)
-let sentinel_base = 1 lsl 40
-let is_sentinel w = w >= sentinel_base
-let sentinel i = sentinel_base + i
-let sentinel_index w = w - sentinel_base
-
-(** One recorded world request.  Replay order is the list order. *)
-type worldref =
-  | Rnil
-  | Rtrue
-  | Rconst of Sexp.t  (** intern a quoted constant in static space *)
-  | Rsym of string  (** intern a symbol *)
-  | Rfun_cell of string  (** address of a symbol's function cell *)
-  | Rval_cell of string  (** address of a symbol's value cell *)
-  | Rfresh_cell  (** allocate one fresh static cell (closure fixups) *)
-
-type unit_img = {
-  u_name : string;
-  u_prog : Asm.program;  (** pre-assembly, world words as sentinels *)
-  u_entry : string;
-  u_min_args : int;
-  u_max_args : int;
-  u_fixups : (string * int * string * int * int) list;
-      (** closure fixups; the cell component is a sentinel *)
-  u_refs : worldref list;  (** the recipe, in recording order *)
-  u_listing : string;  (** resolved listing, as [--annotate] shows it *)
-  u_tn_report : string;
-}
-
-(** What the unit was {e for}: replay mirrors the driver's top-level
-    form dispatch so a loaded image has the same world effects (function
-    cells set, specials proclaimed, macros registered, top-level forms
-    run) as evaluating the source. *)
-type action =
-  | Defun of unit_img
-  | Defmacro of string * unit_img  (** macro name; the unit is its expander *)
-  | Defvar of string * unit_img  (** variable name; the unit computes the init *)
-  | Proclaim of string list  (** names proclaimed SPECIAL; no code *)
-  | Toplevel of unit_img
+(* The unit vocabulary (sentinels, recipe, units, actions) is the
+   compiler's own; this module adds the envelope and the codec. *)
+include S1_core.Cunit
 
 type t = {
   i_file : string;  (** source path, informative only *)
@@ -116,64 +72,6 @@ let load_error_to_string = function
       Printf.sprintf "image schema %S is not %S" s schema_version
   | Corrupted m -> "image checksum mismatch: " ^ m
   | Malformed m -> "malformed image: " ^ m
-
-(* Substitution --------------------------------------------------------- *)
-
-(* Replace sentinels with resolved words.  Only [Imm] and [Mabs]
-   operands and [Data] words can carry world words (the generator's
-   world contract); everything else passes through untouched. *)
-
-let subst_word a w = if is_sentinel w then a.(sentinel_index w) else w
-
-let subst_operand a (op : Isa.operand) : Isa.operand =
-  match op with
-  | Isa.Imm v -> Isa.Imm (subst_word a v)
-  | Isa.Mabs v -> Isa.Mabs (subst_word a v)
-  | Isa.Reg _ | Isa.Ind _ | Isa.Idx _ | Isa.Defind _ | Isa.Defreg _ | Isa.Lab _
-  | Isa.Dlab _ ->
-      op
-
-let subst_instr a (i : Isa.instr) : Isa.instr =
-  let s = subst_operand a in
-  match i with
-  | Isa.Mov (d, x) -> Isa.Mov (s d, s x)
-  | Isa.Movp (t, d, x) -> Isa.Movp (t, s d, s x)
-  | Isa.Gettag (d, x) -> Isa.Gettag (s d, s x)
-  | Isa.Getaddr (d, x) -> Isa.Getaddr (s d, s x)
-  | Isa.Settag (t, d) -> Isa.Settag (t, s d)
-  | Isa.Bin (op, w, d, x, y) -> Isa.Bin (op, w, s d, s x, s y)
-  | Isa.Un (op, w, d, x) -> Isa.Un (op, w, s d, s x)
-  | Isa.Jmp (c, x, y, t) -> Isa.Jmp (c, s x, s y, t)
-  | Isa.Fjmp (c, x, y, t) -> Isa.Fjmp (c, s x, s y, t)
-  | Isa.Jmpz (c, x, t) -> Isa.Jmpz (c, s x, t)
-  | Isa.Jmptag (c, x, tag, t) -> Isa.Jmptag (c, s x, tag, t)
-  | Isa.Jmpa _ | Isa.Ret | Isa.Svc _ | Isa.Halt | Isa.Nop -> i
-  | Isa.Jmpi x -> Isa.Jmpi (s x)
-  | Isa.Jsp _ -> i
-  | Isa.Push x -> Isa.Push (s x)
-  | Isa.Pop d -> Isa.Pop (s d)
-  | Isa.Allocs (x, n) -> Isa.Allocs (s x, n)
-  | Isa.Call (f, n) -> Isa.Call (s f, n)
-  | Isa.Tcall (f, n) -> Isa.Tcall (s f, n)
-  | Isa.Vdot (d, x, y, n) -> Isa.Vdot (s d, s x, s y, s n)
-  | Isa.Vadd (d, x, y, n) -> Isa.Vadd (s d, s x, s y, s n)
-
-let subst_item a (it : Asm.item) : Asm.item =
-  match it with
-  | Asm.Instr i -> Asm.Instr (subst_instr a i)
-  | Asm.Data (l, ds) ->
-      Asm.Data
-        ( l,
-          List.map
-            (function Asm.Word w -> Asm.Word (subst_word a w) | d -> d)
-            ds )
-  | Asm.Label _ | Asm.Comment _ | Asm.Mark _ -> it
-
-let subst_program a (prog : Asm.program) : Asm.program =
-  List.map (subst_item a) prog
-
-let subst_fixups a fixups =
-  List.map (fun (e, cell, n, mn, mx) -> (e, subst_word a cell, n, mn, mx)) fixups
 
 (* Encoding ------------------------------------------------------------- *)
 

@@ -1,20 +1,20 @@
 (** The compile service: content-addressed caching in front of
     {!S1_core.Compiler}, one unit at a time ({!Supervise} batches it).
 
-    Cold path: compile each top-level form with a {e recording world} —
-    the generator sees sentinels instead of live-world words, and every
-    world request (constant intern, symbol intern, cell address, fresh
-    static cell) is appended to the unit's recipe.  The captured
-    sentinel program plus recipe serializes as an {!Image}; the recipe
-    then resolves against the live world and the resolved unit installs
-    through the same {!S1_core.Compiler.install_compiled} a warm load
-    uses, so cold and warm executions share one code path.
+    Cold path: evaluate each top-level form with
+    {!S1_core.Compiler.eval_action}.  Every compile already produces its
+    unit in loadable form — a sentinel program plus the recipe of world
+    requests ({!S1_core.Cunit}) — and installs it through
+    {!S1_core.Compiler.install}; the actions, one per form, serialize as
+    an {!Image}.
 
-    Warm path: verify and decode the image, replay each action's recipe
-    against a fresh world, substitute, install, run.  Because the recipe
-    replays the exact world-effect sequence of a from-source compile,
-    the loaded code is byte-identical — same words, same addresses, same
-    cycle counts, same annotate listing — without running a single
+    Warm path: verify and decode the image, then replay each action
+    ({!S1_core.Compiler.replay_action}) into a fresh world: the same
+    install resolves the recipe against that world, substitutes, loads,
+    and the action's world effects follow.  Because the recipe replays
+    the exact world-effect sequence of a from-source compile, the loaded
+    code is byte-identical — same words, same addresses, same cycle
+    counts, same annotate listing — without running a single
     optimization pass.
 
     Every execution, cold or warm, runs in a world of its own that dies
@@ -24,9 +24,7 @@
     worker domains.  Counter deltas are the supervisor's: it takes one
     per unit ({!Supervise.run_unit}) and merges them in input order. *)
 
-module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
-module Asm = S1_machine.Asm
 module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
 module Node = S1_ir.Node
@@ -71,115 +69,6 @@ let reset_compile_state () =
 let compiler_of (cfg : cfg) : C.t =
   C.create ~options:cfg.sv_options ~rules:cfg.sv_rules ~cse:cfg.sv_cse ()
 
-(* Recording world ------------------------------------------------------ *)
-
-type recorder = { mutable rc_refs : Image.worldref list; mutable rc_n : int }
-
-let recording_world (rc : recorder) : Gen.world =
-  let add r =
-    let i = rc.rc_n in
-    rc.rc_n <- i + 1;
-    rc.rc_refs <- r :: rc.rc_refs;
-    Image.sentinel i
-  in
-  (* nil/t are plain record fields, so they are recorded up front whether
-     or not the unit ends up using them; replay of Rnil/Rtrue is a pure
-     read with no world effect, so unused entries cost nothing *)
-  let nil_word = add Image.Rnil in
-  let t_word = add Image.Rtrue in
-  {
-    Gen.nil_word;
-    t_word;
-    const_word = (fun s -> add (Image.Rconst s));
-    symbol_word = (fun n -> add (Image.Rsym n));
-    function_cell = (fun n -> add (Image.Rfun_cell n));
-    value_cell = (fun n -> add (Image.Rval_cell n));
-    alloc_cell = (fun () -> add Image.Rfresh_cell);
-  }
-
-(* Replay the recipe in recording order.  Order matters: interning and
-   static allocation have world effects, and reproducing the cold
-   compile's exact request sequence is what makes warm worlds
-   word-identical to cold ones. *)
-let resolve_refs (w : Gen.world) (refs : Image.worldref list) : int array =
-  let arr = Array.make (List.length refs) 0 in
-  List.iteri
-    (fun i r ->
-      arr.(i) <-
-        (match r with
-        | Image.Rnil -> w.Gen.nil_word
-        | Image.Rtrue -> w.Gen.t_word
-        | Image.Rconst s -> w.Gen.const_word s
-        | Image.Rsym n -> w.Gen.symbol_word n
-        | Image.Rfun_cell n -> w.Gen.function_cell n
-        | Image.Rval_cell n -> w.Gen.value_cell n
-        | Image.Rfresh_cell -> w.Gen.alloc_cell ()))
-    refs;
-  arr
-
-(* Cold capture --------------------------------------------------------- *)
-
-(* Arm a compiler instance so each compiled unit is captured in sentinel
-   form (plus recipe) and handed back resolved for normal installation.
-   Returns the list that accumulates captured units, newest first. *)
-let arm_capture (c : C.t) : Image.unit_img list ref =
-  let captured = ref [] in
-  let pending = ref None in
-  c.C.world_wrap <-
-    (fun _real ->
-      let rc = { rc_refs = []; rc_n = 0 } in
-      pending := Some rc;
-      recording_world rc);
-  c.C.unit_filter <-
-    (fun ~name compiled ->
-      match !pending with
-      | None -> compiled
-      | Some rc ->
-          pending := None;
-          let refs = List.rev rc.rc_refs in
-          let arr = resolve_refs (C.world_of c) refs in
-          let prog = Image.subst_program arr compiled.Gen.c_prog in
-          let fixups = Image.subst_fixups arr compiled.Gen.c_fixups in
-          let u =
-            {
-              Image.u_name = name;
-              u_prog = compiled.Gen.c_prog;
-              u_entry = compiled.Gen.c_entry;
-              u_min_args = compiled.Gen.c_min_args;
-              u_max_args = compiled.Gen.c_max_args;
-              u_fixups = compiled.Gen.c_fixups;
-              u_refs = refs;
-              u_listing = Asm.listing prog;
-              u_tn_report = compiled.Gen.c_tn_report;
-            }
-          in
-          captured := u :: !captured;
-          { compiled with Gen.c_prog = prog; c_fixups = fixups });
-  captured
-
-(* Mirror of {!S1_core.Compiler.eval}'s top-level dispatch: which action
-   a form was, given the units its evaluation compiled. *)
-let classify (form : Sexp.t) (units : Image.unit_img list) : Image.action =
-  match (form, units) with
-  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _), [ u ] -> Image.Defun u
-  | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: Sexp.List _ :: _), [ u ]
-    ->
-      Image.Defmacro (name, u)
-  | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; _ ], [ u ] ->
-      Image.Defvar (name, u)
-  | ( Sexp.List
-        [
-          Sexp.Sym "PROCLAIM";
-          Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ];
-        ],
-      [] ) ->
-      Image.Proclaim
-        (List.filter_map (function Sexp.Sym n -> Some n | _ -> None) names)
-  | _, [ u ] -> Image.Toplevel u
-  | _, us ->
-      failwith
-        (Printf.sprintf "serve: top-level form compiled to %d units" (List.length us))
-
 type exec = { e_value : string; e_output : string; e_cycles : int }
 
 let cycles_of (c : C.t) : int = c.C.rt.Rt.cpu.Cpu.stats.Cpu.cycles
@@ -205,7 +94,6 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
   let c = compiler_of cfg in
   c.C.rt.Rt.fuel <- fuel;
   prepare c;
-  let captured = arm_capture c in
   let forms, tab = Reader.parse_string_located ~file src in
   c.C.locs <- Some tab;
   let remark_was = Remark.enabled () in
@@ -218,17 +106,13 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
   Fun.protect
     ~finally:(fun () -> Remark.set_enabled remark_was)
     (fun () ->
-      let actions = ref [] in
-      let last =
+      let actions, last =
         under_deadline c deadline (fun () ->
             List.fold_left
-              (fun _ form ->
-                let v = C.eval c form in
-                let units = List.rev !captured in
-                captured := [];
-                actions := classify form units :: !actions;
-                v)
-              c.C.rt.Rt.nil forms)
+              (fun (actions, _) form ->
+                let a, v = C.eval_action c form in
+                (a :: actions, v))
+              ([], c.C.rt.Rt.nil) forms)
       in
       let exec =
         {
@@ -243,7 +127,7 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
           i_key = key;
           i_flags = flags_of cfg;
           i_degraded = degraded;
-          i_actions = List.rev !actions;
+          i_actions = List.rev actions;
           i_remarks = Remark.to_jsonl (Remark.remarks ());
           i_counters = Obs.diff ~before ();
         }
@@ -252,53 +136,11 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
 
 (* Warm replay ---------------------------------------------------------- *)
 
-let replay_unit (c : C.t) (u : Image.unit_img) : int =
-  let arr = resolve_refs (C.world_of c) u.Image.u_refs in
-  let compiled =
-    {
-      Gen.c_name = u.Image.u_name;
-      c_prog = Image.subst_program arr u.Image.u_prog;
-      c_entry = u.Image.u_entry;
-      c_min_args = u.Image.u_min_args;
-      c_max_args = u.Image.u_max_args;
-      c_fixups = Image.subst_fixups arr u.Image.u_fixups;
-      c_tn_report = u.Image.u_tn_report;
-    }
-  in
-  (* mirror load_lambda's introspection bookkeeping so --annotate and
-     --tn-report work identically on cache-loaded units *)
-  if c.C.keep_listing then begin
-    c.C.last_listing <- Some u.Image.u_listing;
-    c.C.last_tn_report <- Some u.Image.u_tn_report
-  end;
-  C.install_compiled c ~name:u.Image.u_name compiled
-
-(* Each arm reproduces the world effects of {!S1_core.Compiler.eval} on
-   the original form, in the same order. *)
-let replay_action (c : C.t) (a : Image.action) : int =
-  match a with
-  | Image.Defun u ->
-      let fobj = replay_unit c u in
-      let sym = Rt.intern c.C.rt u.Image.u_name in
-      Rt.set_function c.C.rt sym fobj;
-      sym
-  | Image.Defmacro (name, u) ->
-      let fobj = replay_unit c u in
-      Hashtbl.replace c.C.macros name fobj;
-      Rt.intern c.C.rt name
-  | Image.Defvar (name, u) ->
-      let sym = Rt.intern c.C.rt name in
-      Rt.proclaim_special c.C.rt sym;
-      let fobj = replay_unit c u in
-      let v = Rt.call c.C.rt fobj [] in
-      Rt.set_symbol_value_dynamic c.C.rt sym v;
-      sym
-  | Image.Proclaim names ->
-      List.iter (fun n -> Rt.proclaim_special c.C.rt (Rt.intern c.C.rt n)) names;
-      c.C.rt.Rt.nil
-  | Image.Toplevel u ->
-      let fobj = replay_unit c u in
-      Rt.call c.C.rt fobj []
+(* The service's names for the compiler's loader and replay dispatch
+   (perfbench times them per call); a cold compile installs through the
+   same {!S1_core.Compiler.install}. *)
+let replay_unit (c : C.t) (u : Image.unit_img) : int = fst (C.install c u)
+let replay_action = C.replay_action
 
 (** Replay a loaded image into a {e fresh} world. *)
 let execute (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
@@ -308,7 +150,7 @@ let execute (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
   prepare c;
   let last =
     under_deadline c deadline (fun () ->
-        List.fold_left (fun _ a -> replay_action c a) c.C.rt.Rt.nil img.Image.i_actions)
+        List.fold_left (fun _ a -> C.replay_action c a) c.C.rt.Rt.nil img.Image.i_actions)
   in
   {
     e_value = Rt.print_value c.C.rt last;

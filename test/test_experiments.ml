@@ -115,7 +115,7 @@ let testfn_src =
 let test_t4_testfn_code () =
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
-  let listing, _ = C.listing_of c (Reader.parse_one testfn_src) in
+  let listing, _, _ = C.listing_of c (Reader.parse_one testfn_src) in
   (* argument-count dispatch through a data table *)
   Alcotest.(check bool) "dispatch table" true (contains listing "DISPATCH");
   Alcotest.(check bool) "per-count cases" true
@@ -166,7 +166,7 @@ let test_t4_testfn_code () =
 
 let test_e5_short_circuit_code () =
   let c = C.create () in
-  let listing, _ =
+  let listing, _, _ =
     C.listing_of c
       (Reader.parse_one "(defun choose (a b c e1 e2) (if (and a (or b c)) e1 e2))")
   in
@@ -331,7 +331,7 @@ let test_e6b_harder_variant () =
    arithmetic core. *)
 let test_e6c_compiled_float_core () =
   let c = C.create () in
-  let listing, _ =
+  let listing, _, _ =
     C.listing_of c
       (Reader.parse_one
          "(defun horner (x a b c d)\n\
@@ -373,7 +373,7 @@ let test_e6c_compiled_float_core () =
 let test_e7_transcript () =
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
-  let _, ts = C.listing_of c (Reader.parse_one testfn_src) in
+  let _, _, ts = C.listing_of c (Reader.parse_one testfn_src) in
   let rules =
     List.map (fun ((r : S1_obs.Remark.t), _) -> r.S1_obs.Remark.r_rule) (S1_obs.Remark.rewrites ts)
   in

@@ -109,7 +109,7 @@ let test_peephole_preserves_semantics () =
   (* and the peepholed version is no larger *)
   let size options =
     let c = C.create ~options () in
-    let l, _ = C.listing_of c (Reader.parse_one src) in
+    let l, _, _ = C.listing_of c (Reader.parse_one src) in
     List.length (String.split_on_char '\n' l)
   in
   Alcotest.(check bool) "not larger" true (size peep <= size base)
@@ -173,7 +173,7 @@ let test_cse_no_thrash_with_optimizer () =
   (* run the full pipeline with CSE enabled: the optimizer must not
      substitute the CSE binding away again (the paper's §4.3 worry) *)
   let c = C.create ~cse:true () in
-  let listing, ts =
+  let listing, _, ts =
     C.listing_of c (Reader.parse_one "(defun f (a b) (list (* a b) (* a b)))")
   in
   ignore listing;

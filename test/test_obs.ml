@@ -264,7 +264,7 @@ let test_listing_of_expands_macros () =
   let c = C.create () in
   ignore (C.eval_string c "(defmacro twice (x) (list 'progn x x))");
   let form = List.hd (Reader.parse_string "(twice (+ 1 2))") in
-  let listing, _ = C.listing_of c form in
+  let listing, _, _ = C.listing_of c form in
   check_bool "listing produced" true (String.length listing > 0);
   check_bool "macro expanded, no call to TWICE left" false (contains listing "TWICE")
 

@@ -126,7 +126,7 @@ let testfn_views ~cse =
     Remark.capture (fun () ->
         List.iter
           (fun form ->
-            let _, unit_journal = C.listing_of c form in
+            let _, _, unit_journal = C.listing_of c form in
             Buffer.add_string text (Remark.transcript unit_journal);
             match form with
             | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ()

@@ -172,7 +172,7 @@ let test_rollback_drops_rewrites () =
   let c = C.create () in
   Remark.reset ();
   Remark.set_enabled true;
-  let _, journal =
+  let _, _, journal =
     Fun.protect
       ~finally:(fun () -> Remark.set_enabled false)
       (fun () ->

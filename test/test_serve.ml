@@ -3,8 +3,10 @@
    annotate inputs — from a from-source compile), byte-deterministic
    serialization, the verifying loader's typed errors, cache-key
    sensitivity to every optimization-lattice axis, warm hits running
-   zero optimization passes, instance-scoped compiler hooks and macro
-   tables, and `-j N` batch output being independent of N. *)
+   zero optimization passes, the per-instance pass hook and macro
+   tables, and `-j N` batch output being independent of N.  Every
+   compile records its unit, so the plain and service paths share one
+   loader; the round trips pin that they agree. *)
 
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
@@ -216,6 +218,70 @@ let test_actions_cover_form_kinds () =
     "one action per top-level form, in order"
     [ "proclaim"; "defvar"; "defun"; "defmacro"; "toplevel" ]
     kinds
+
+(* PROCLAIM is the one action kind with no unit: its warm replay must
+   leave the variable proclaimed in the fresh world, as evaluating the
+   source does.  Pinned exactly against the interpreter, the plain
+   compile, and the cold and warm service runs. *)
+let test_proclaim_replays_exactly () =
+  let file = Filename.concat corpus_dir "proclaim-special.lisp" in
+  let src = read_file file in
+  let expected = "(15 35 6)" in
+  Alcotest.(check string) "interpreted" expected
+    (S1_fuzz.Oracle.outcome_string
+       (S1_fuzz.Oracle.run_interp (Reader.parse_string src)));
+  let plain = run_plain src ~file in
+  Alcotest.(check string) "compiled" expected plain.value;
+  let img, cold = cold_image ~src () in
+  Alcotest.(check string) "served cold" expected cold.Serve.e_value;
+  (match img.Image.i_actions with
+  | Image.Proclaim names :: _ ->
+      Alcotest.(check (list string)) "proclaimed names" [ "*SCALE*" ] names
+  | _ -> Alcotest.fail "first action is not a PROCLAIM");
+  let world = ref None in
+  let warm =
+    Serve.execute Serve.default_cfg ~prepare:(fun c -> world := Some c) img
+  in
+  Alcotest.(check string) "served warm" expected warm.Serve.e_value;
+  Alcotest.(check int) "warm cycles = cold cycles" cold.Serve.e_cycles
+    warm.Serve.e_cycles;
+  (* the compiled code alone cannot tell: the proclamation is a flag in
+     the world, read by the next compile that binds the variable *)
+  let rebind = Reader.parse_string "(let ((*scale* 10)) (scaled 1))" in
+  Alcotest.(check string) "warm world proclaimed *SCALE*" "10"
+    (C.eval_print (Option.get !world) rebind)
+
+(* The TN report [listing_of] hands back is the one its unit carries:
+   compiling TESTFN for its listing in a plain world yields the same
+   report (and listing) as the DEFUN unit in the service's cold image. *)
+let test_listing_of_reports_its_unit () =
+  let file =
+    if Sys.file_exists "../examples/testfn.lisp" then "../examples/testfn.lisp"
+    else "examples/testfn.lisp"
+  in
+  let src = read_file file in
+  let frotz, testfn =
+    match Reader.parse_string src with
+    | f :: t :: _ -> (f, t)
+    | _ -> Alcotest.fail "testfn.lisp: expected FROTZ then TESTFN"
+  in
+  Serve.reset_compile_state ();
+  let c = C.create () in
+  ignore (C.eval c frotz);
+  let listing, tn_report, _ = C.listing_of c testfn in
+  Alcotest.(check bool) "TN report non-empty" true (tn_report <> "");
+  let img, _ = cold_image ~src () in
+  match
+    List.find_map
+      (function
+        | Image.Defun u when u.Image.u_name = "TESTFN" -> Some u | _ -> None)
+      img.Image.i_actions
+  with
+  | None -> Alcotest.fail "no TESTFN unit in the cold image"
+  | Some u ->
+      Alcotest.(check string) "TN report = the image unit's" u.Image.u_tn_report
+        tn_report;
+      Alcotest.(check string) "listing = the image unit's" u.Image.u_listing listing
 
 (* Loader --------------------------------------------------------------------- *)
 
@@ -636,6 +702,10 @@ let () =
           Alcotest.test_case "structural round trip" `Quick
             test_image_round_trips_structurally;
           Alcotest.test_case "action kinds" `Quick test_actions_cover_form_kinds;
+          Alcotest.test_case "proclaim replays exactly" `Quick
+            test_proclaim_replays_exactly;
+          Alcotest.test_case "listing_of reports its unit" `Quick
+            test_listing_of_reports_its_unit;
         ] );
       ( "loader",
         [

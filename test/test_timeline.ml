@@ -220,8 +220,9 @@ let annotate_corpus () =
     (fun (name, prog, org) ->
       Buffer.add_string b (S1_machine.Annotate.render cpu ~source ~name ~org prog))
     (List.rev c.C.code_log);
-  (* label gensym counters ("H~21-BODY") are process-global, so two
-     compiles in one process differ only there; normalize them *)
+  (* label gensym counters ("H~21-BODY") are domain-local and never
+     reset here, so two compiles in one domain differ only there;
+     normalize them *)
   Str.global_replace (Str.regexp "~[0-9]+") "~N" (Buffer.contents b)
 
 let test_annotate_golden () =
