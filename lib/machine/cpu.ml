@@ -11,12 +11,12 @@ type stats = {
 }
 
 (* Per-PC execution attribution, maintained only while profiling is
-   enabled (the arrays grow with the code store). *)
+   enabled (the arrays grow with the code store).  MOV counts and the
+   opcode histogram follow from the executions per PC and the
+   instruction there (the code store is append-only). *)
 type profile = {
   mutable p_cycles : int array;
   mutable p_instrs : int array;
-  mutable p_movs : int array;
-  p_opcodes : (string, int) Hashtbl.t;  (* mnemonic -> executions *)
   p_entry_calls : (int, int) Hashtbl.t;  (* entry pc -> CALL/TCALL count *)
 }
 
@@ -56,6 +56,10 @@ type callgraph = {
 type t = {
   mem : Mem.t;
   mutable code : Isa.instr array;
+  mutable ops : (unit -> unit) array;
+      (** [code] decoded once at load: the closure at an address executes
+          the instruction there, with operands, jump target, base cycles
+          and memory-traffic charges resolved.  Same length as [code]. *)
   mutable code_len : int;
   regs : int array;
   mutable pc : int;
@@ -63,6 +67,9 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;
   mutable bad_function_svc : int;
+  mutable svc_frames : string array;
+      (** shadow-frame name per service id ("" for none): the observer
+          brackets those SVC traps with a synthetic call-path frame *)
   mutable profile : profile option;
   mutable callgraph : callgraph option;
   mutable symbols : (int * int * string) list;
@@ -132,57 +139,6 @@ let fresh_stats () =
 
 let halt_addr = 0
 
-let create ?mem () =
-  let mem = match mem with Some m -> m | None -> Mem.create () in
-  let cpu =
-    {
-      mem;
-      code = Array.make 1024 Isa.Halt;
-      code_len = 0;
-      regs = Array.make Isa.nregs 0;
-      pc = 0;
-      halted = false;
-      stats = fresh_stats ();
-      service = (fun _ _ -> ());
-      bad_function_svc = -1;
-      profile = None;
-      callgraph = None;
-      symbols = [];
-      mark_segments = [];
-      deadline = None;
-    }
-  in
-  (* Code address 0 is the universal halt used as the host's return
-     continuation. *)
-  cpu.code.(0) <- Isa.Halt;
-  cpu.code_len <- 1;
-  cpu.regs.(Isa.sp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.fp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.tp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.sb) <- Mem.bind_base mem;
-  cpu
-
-let ensure_capacity cpu n =
-  if cpu.code_len + n > Array.length cpu.code then begin
-    let cap = max (2 * Array.length cpu.code) (cpu.code_len + n) in
-    let fresh = Array.make cap Isa.Halt in
-    Array.blit cpu.code 0 fresh 0 cpu.code_len;
-    cpu.code <- fresh
-  end
-
-let load cpu prog =
-  let org = cpu.code_len in
-  let image = Asm.assemble cpu.mem ~org prog in
-  let n = Array.length image.instrs in
-  ensure_capacity cpu n;
-  Array.blit image.instrs 0 cpu.code cpu.code_len n;
-  cpu.code_len <- cpu.code_len + n;
-  (match image.Asm.marks with
-  | [] -> ()
-  | marks ->
-      cpu.mark_segments <- (org, org + n, Array.of_list marks) :: cpu.mark_segments);
-  image
-
 let label_addr (image : Asm.image) l =
   match List.assoc_opt l image.labels with
   | Some a -> a
@@ -208,8 +164,6 @@ let fresh_profile n =
   {
     p_cycles = Array.make (max n 1) 0;
     p_instrs = Array.make (max n 1) 0;
-    p_movs = Array.make (max n 1) 0;
-    p_opcodes = Hashtbl.create 32;
     p_entry_calls = Hashtbl.create 32;
   }
 
@@ -228,8 +182,7 @@ let ensure_profile_capacity p pc =
       fresh
     in
     p.p_cycles <- grow p.p_cycles;
-    p.p_instrs <- grow p.p_instrs;
-    p.p_movs <- grow p.p_movs
+    p.p_instrs <- grow p.p_instrs
   end
 
 let add_symbol cpu ~lo ~hi ~name = cpu.symbols <- (lo, hi, name) :: cpu.symbols
@@ -521,6 +474,10 @@ type func_profile = {
   f_calls : int;
 }
 
+(* MOVs executed at a code address: all of its executions, if the
+   instruction there is a MOV. *)
+let movs_at cpu p pc = if Isa.is_mov cpu.code.(pc) then p.p_instrs.(pc) else 0
+
 (* Aggregate the per-PC tables by containing symbol; PCs outside any
    loaded symbol range (the halt stub, hand-assembled test code) pool
    under "?". *)
@@ -553,7 +510,7 @@ let profile_by_function cpu : func_profile list =
                 fp with
                 f_cycles = fp.f_cycles + p.p_cycles.(pc);
                 f_instructions = fp.f_instructions + p.p_instrs.(pc);
-                f_movs = fp.f_movs + p.p_movs.(pc);
+                f_movs = fp.f_movs + movs_at cpu p pc;
               })
       done;
       Hashtbl.iter
@@ -606,7 +563,7 @@ let profile_by_line cpu : line_profile list =
               cur with
               ln_cycles = cur.ln_cycles + p.p_cycles.(pc);
               ln_instructions = cur.ln_instructions + p.p_instrs.(pc);
-              ln_movs = cur.ln_movs + p.p_movs.(pc);
+              ln_movs = cur.ln_movs + movs_at cpu p pc;
             }
         end
       done;
@@ -659,7 +616,15 @@ let opcode_histogram cpu =
   match cpu.profile with
   | None -> []
   | Some p ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.p_opcodes []
+      let counts = Hashtbl.create 32 in
+      for pc = 0 to min cpu.code_len (Array.length p.p_instrs) - 1 do
+        let n = p.p_instrs.(pc) in
+        if n > 0 then begin
+          let m = Isa.mnemonic cpu.code.(pc) in
+          Hashtbl.replace counts m (n + Option.value ~default:0 (Hashtbl.find_opt counts m))
+        end
+      done;
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
       |> List.sort (fun (ka, a) (kb, b) ->
              match compare b a with 0 -> compare ka kb | n -> n)
 
@@ -733,56 +698,110 @@ let reset_stack cpu =
 let get_reg cpu r = cpu.regs.(r)
 let set_reg cpu r v = cpu.regs.(r) <- v land Word.mask
 
-(* Operand evaluation --------------------------------------------------- *)
+(* Operand decoding ------------------------------------------------------ *)
 
-let eff_addr cpu (o : Isa.operand) =
+(* Each operand is decoded once, at load, into a closure.  A read or a
+   store charges the operand's memory traffic before it touches memory,
+   so a fault mid-instruction leaves exactly the charges of the operands
+   it reached; register and immediate operands charge nothing. *)
+
+let[@inline] charge s n = s.mem_traffic <- s.mem_traffic + n
+
+let addresser cpu (o : Isa.operand) : unit -> int =
+  let regs = cpu.regs and mem = cpu.mem in
   match o with
-  | Mabs a -> a
-  | Ind (r, d) -> cpu.regs.(r) + d
-  | Idx { base; disp; index; shift } -> cpu.regs.(base) + disp + (cpu.regs.(index) lsl shift)
-  | Defind (r, d, off) -> Word.addr_of (Mem.read cpu.mem (cpu.regs.(r) + d)) + off
-  | Defreg (r, off) -> Word.addr_of cpu.regs.(r) + off
-  | Reg _ | Imm _ | Lab _ | Dlab _ -> trap cpu Illegal_instruction "operand has no effective address"
+  | Mabs a -> fun () -> a
+  | Ind (r, d) -> fun () -> regs.(r) + d
+  | Idx { base; disp; index; shift } -> fun () -> regs.(base) + disp + (regs.(index) lsl shift)
+  | Defind (r, d, off) -> fun () -> Word.addr_of (Mem.read mem (regs.(r) + d)) + off
+  | Defreg (r, off) -> fun () -> Word.addr_of regs.(r) + off
+  | Reg _ | Imm _ | Lab _ | Dlab _ ->
+      fun () -> trap cpu Illegal_instruction "operand has no effective address"
 
-let value cpu (o : Isa.operand) =
-  cpu.stats.mem_traffic <- cpu.stats.mem_traffic + Isa.operand_cycles o;
+let reader cpu (o : Isa.operand) : unit -> int =
+  let s = cpu.stats and regs = cpu.regs and mem = cpu.mem in
+  let c = Isa.operand_cycles o in
   match o with
-  | Reg r -> cpu.regs.(r)
-  | Imm v -> v land Word.mask
-  | Lab _ | Dlab _ -> trap cpu Illegal_instruction "unresolved label operand"
-  | _ -> Mem.read cpu.mem (eff_addr cpu o)
+  | Reg r -> fun () -> regs.(r)
+  | Imm v ->
+      let v = v land Word.mask in
+      fun () -> v
+  | Lab _ | Dlab _ ->
+      fun () ->
+        charge s c;
+        trap cpu Illegal_instruction "unresolved label operand"
+  | Mabs a ->
+      fun () ->
+        charge s c;
+        Mem.read mem a
+  | Ind (r, d) ->
+      fun () ->
+        charge s c;
+        Mem.read mem (regs.(r) + d)
+  | Idx _ | Defind _ | Defreg _ ->
+      let ea = addresser cpu o in
+      fun () ->
+        charge s c;
+        Mem.read mem (ea ())
 
-let store cpu (o : Isa.operand) v =
-  cpu.stats.mem_traffic <- cpu.stats.mem_traffic + Isa.operand_cycles o;
+let writer cpu (o : Isa.operand) : int -> unit =
+  let s = cpu.stats and regs = cpu.regs and mem = cpu.mem in
+  let c = Isa.operand_cycles o in
   match o with
-  | Reg r -> cpu.regs.(r) <- v land Word.mask
-  | Imm _ | Lab _ | Dlab _ -> trap cpu Illegal_instruction "store to non-writable operand"
-  | _ -> Mem.write cpu.mem (eff_addr cpu o) v
+  | Reg r -> fun v -> regs.(r) <- v land Word.mask
+  | Imm _ | Lab _ | Dlab _ ->
+      fun _ ->
+        charge s c;
+        trap cpu Illegal_instruction "store to non-writable operand"
+  | Mabs a ->
+      fun v ->
+        charge s c;
+        Mem.write mem a v
+  | Ind (r, d) ->
+      fun v ->
+        charge s c;
+        Mem.write mem (regs.(r) + d) v
+  | Idx _ | Defind _ | Defreg _ ->
+      let ea = addresser cpu o in
+      fun v ->
+        charge s c;
+        Mem.write mem (ea ()) v
 
-(* Double-width (two-word) access: register pairs or adjacent memory. *)
-let value2 cpu (o : Isa.operand) =
+(* Double-width (two-word) access: register pairs or adjacent memory.
+   The double-width forms charge no memory traffic. *)
+let pair_reader cpu (o : Isa.operand) : unit -> int * int =
+  let regs = cpu.regs and mem = cpu.mem in
   match o with
   | Reg r ->
-      if r + 1 >= Isa.nregs then trap cpu Illegal_instruction "double-width register pair out of range"
-      else (cpu.regs.(r), cpu.regs.(r + 1))
-  | Imm _ | Lab _ | Dlab _ -> trap cpu Illegal_instruction "double-width immediate"
+      fun () ->
+        if r + 1 >= Isa.nregs then
+          trap cpu Illegal_instruction "double-width register pair out of range"
+        else (regs.(r), regs.(r + 1))
+  | Imm _ | Lab _ | Dlab _ -> fun () -> trap cpu Illegal_instruction "double-width immediate"
   | _ ->
-      let a = eff_addr cpu o in
-      (Mem.read cpu.mem a, Mem.read cpu.mem (a + 1))
+      let ea = addresser cpu o in
+      fun () ->
+        let a = ea () in
+        (Mem.read mem a, Mem.read mem (a + 1))
 
-let store2 cpu (o : Isa.operand) (hi, lo) =
+let pair_writer cpu (o : Isa.operand) : int * int -> unit =
+  let regs = cpu.regs and mem = cpu.mem in
   match o with
   | Reg r ->
-      if r + 1 >= Isa.nregs then trap cpu Illegal_instruction "double-width register pair out of range"
-      else begin
-        cpu.regs.(r) <- hi land Word.mask;
-        cpu.regs.(r + 1) <- lo land Word.mask
-      end
-  | Imm _ | Lab _ | Dlab _ -> trap cpu Illegal_instruction "store to non-writable operand"
+      fun (hi, lo) ->
+        if r + 1 >= Isa.nregs then
+          trap cpu Illegal_instruction "double-width register pair out of range"
+        else begin
+          regs.(r) <- hi land Word.mask;
+          regs.(r + 1) <- lo land Word.mask
+        end
+  | Imm _ | Lab _ | Dlab _ -> fun _ -> trap cpu Illegal_instruction "store to non-writable operand"
   | _ ->
-      let a = eff_addr cpu o in
-      Mem.write cpu.mem a hi;
-      Mem.write cpu.mem (a + 1) lo
+      let ea = addresser cpu o in
+      fun (hi, lo) ->
+        let a = ea () in
+        Mem.write mem a hi;
+        Mem.write mem (a + 1) lo
 
 (* Stack ----------------------------------------------------------------- *)
 
@@ -831,11 +850,6 @@ let do_call cpu fobj nargs ~ret =
       else fail cpu "call to non-function word %#x" fobj
   | Some (entry, envw) ->
       cpu.stats.calls <- cpu.stats.calls + 1;
-      (match cpu.profile with
-      | Some p ->
-          Hashtbl.replace p.p_entry_calls entry
-            (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-      | None -> ());
       cpu.regs.(Isa.rta) <- nargs;
       push cpu ret;
       push cpu cpu.regs.(Isa.fp);
@@ -844,8 +858,7 @@ let do_call cpu fobj nargs ~ret =
       push cpu nargs;
       cpu.regs.(Isa.fp) <- cpu.regs.(Isa.sp);
       (match envw with Some e -> cpu.regs.(Isa.env) <- e | None -> ());
-      cpu.pc <- entry;
-      cg_enter cpu ~entry ~tail:false
+      cpu.pc <- entry
 
 let do_tcall cpu fobj nargs =
   match decode_function cpu fobj with
@@ -857,11 +870,6 @@ let do_tcall cpu fobj nargs =
       else fail cpu "tail call to non-function word %#x" fobj
   | Some (entry, envw) ->
       cpu.stats.tcalls <- cpu.stats.tcalls + 1;
-      (match cpu.profile with
-      | Some p ->
-          Hashtbl.replace p.p_entry_calls entry
-            (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-      | None -> ());
       let fp = cpu.regs.(Isa.fp) in
       let old_argc = Word.addr_of (Mem.read cpu.mem fp) in
       let ret = Mem.read cpu.mem (fp - 4) in
@@ -885,8 +893,7 @@ let do_tcall cpu fobj nargs =
       cpu.regs.(Isa.sp) <- lk + 4;
       cpu.regs.(Isa.rta) <- nargs;
       (match envw with Some e -> cpu.regs.(Isa.env) <- e | None -> ());
-      cpu.pc <- entry;
-      cg_enter cpu ~entry ~tail:true
+      cpu.pc <- entry
 
 let do_ret cpu =
   let fp = cpu.regs.(Isa.fp) in
@@ -896,8 +903,7 @@ let do_ret cpu =
   cpu.regs.(Isa.env) <- Mem.read cpu.mem (fp - 1);
   cpu.regs.(Isa.tp) <- Mem.read cpu.mem (fp - 2);
   cpu.regs.(Isa.fp) <- Mem.read cpu.mem (fp - 3);
-  cpu.pc <- Word.addr_of ret;
-  match cpu.callgraph with Some cg -> cg_pop cg | None -> ()
+  cpu.pc <- Word.addr_of ret
 
 (* Arithmetic ------------------------------------------------------------ *)
 
@@ -954,7 +960,7 @@ let is_float_binop : Isa.binop -> bool = function
   | FADD | FSUB | FMULT | FDIV | FMAX | FMIN | FATAN -> true
   | _ -> false
 
-let two_pi = 4.0 *. Float.pi /. 2.0 |> fun _ -> 2.0 *. Float.pi
+let two_pi = 2.0 *. Float.pi
 
 let float_unop cpu (op : Isa.unop) x =
   match op with
@@ -967,171 +973,440 @@ let float_unop cpu (op : Isa.unop) x =
   | FLOG -> Float.log x
   | _ -> trap cpu Wrong_type "non-float unop dispatched as float"
 
-(* Execution ------------------------------------------------------------- *)
+(* Decoding -------------------------------------------------------------- *)
 
-let step cpu =
-  if cpu.pc < 0 || cpu.pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
-  let i = cpu.code.(cpu.pc) in
-  let s = cpu.stats in
-  (* profile attribution: every cycle this dispatch adds (base plus
-     vector per-element costs) charges to the fetched PC *)
-  let prof_pc = cpu.pc in
-  let prof_cycles0 = s.cycles in
-  (* call-path attribution: capture the current path's counter before
-     dispatch, so a CALL's own cycles charge to the caller's path *)
-  let cg_cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
+(* [decode cpu pc i] is the closure that executes instruction [i] at
+   code address [pc]: it counts the instruction, adds its base cycles,
+   does the work and sets the next pc, exactly as the ISA defines.  The
+   hot forms (register, immediate and frame-slot operands; resolved jump
+   targets) get closures of their own; every other form goes through the
+   decoded operand closures above.  Nothing here consults the observer:
+   profiling and the shadow call stack live in {!observed_step}. *)
+
+let[@inline] tick s n =
   s.instructions <- s.instructions + 1;
-  s.cycles <- s.cycles + Isa.base_cycles i;
-  let next = cpu.pc + 1 in
-  let jump_target = function Isa.Abs n -> n | Isa.L l -> trap cpu Illegal_instruction "unresolved target %s" l in
-  (match i with
+  s.cycles <- s.cycles + n
+
+let code_ptr addr = Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr
+
+let decode cpu pc (i : Isa.instr) : unit -> unit =
+  let s = cpu.stats and regs = cpu.regs and mem = cpu.mem in
+  let base = Isa.base_cycles i in
+  let next = pc + 1 in
+  let mask = Word.mask in
+  (* a taken branch: resolved targets are plain addresses; a label the
+     assembler left unresolved traps only when the branch is taken *)
+  let take (t : Isa.target) : unit -> unit =
+    match t with
+    | Abs n -> fun () -> cpu.pc <- n
+    | L l -> fun () -> trap cpu Illegal_instruction "unresolved target %s" l
+  in
+  match i with
+  | Mov (Reg d, Reg r) ->
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        regs.(d) <- regs.(r) land mask;
+        cpu.pc <- next
+  | Mov (Reg d, Imm v) ->
+      let v = v land mask in
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        regs.(d) <- v;
+        cpu.pc <- next
+  | Mov (Reg d, Ind (r, k)) ->
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        charge s 1;
+        regs.(d) <- Mem.read mem (regs.(r) + k) land mask;
+        cpu.pc <- next
+  | Mov (Ind (r, k), Reg x) ->
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        let v = regs.(x) in
+        charge s 1;
+        Mem.write mem (regs.(r) + k) v;
+        cpu.pc <- next
+  | Mov (Ind (r, k), Ind (x, j)) ->
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        charge s 1;
+        let v = Mem.read mem (regs.(x) + j) in
+        charge s 1;
+        Mem.write mem (regs.(r) + k) v;
+        cpu.pc <- next
   | Mov (d, src) ->
-      s.movs <- s.movs + 1;
-      store cpu d (value cpu src);
-      cpu.pc <- next
+      let rd = reader cpu src and wr = writer cpu d in
+      fun () ->
+        tick s base;
+        s.movs <- s.movs + 1;
+        wr (rd ());
+        cpu.pc <- next
   | Movp (tag, d, src) ->
-      let addr = eff_addr cpu src in
-      store cpu d (Word.make_ptr ~tag:(Tags.to_int tag) ~addr);
-      cpu.pc <- next
+      let ea = addresser cpu src and wr = writer cpu d and tag = Tags.to_int tag in
+      fun () ->
+        tick s base;
+        let addr = ea () in
+        wr (Word.make_ptr ~tag ~addr);
+        cpu.pc <- next
   | Gettag (d, src) ->
-      store cpu d (Word.tag_of (value cpu src));
-      cpu.pc <- next
+      let rd = reader cpu src and wr = writer cpu d in
+      fun () ->
+        tick s base;
+        wr (Word.tag_of (rd ()));
+        cpu.pc <- next
   | Getaddr (d, src) ->
-      store cpu d (Word.addr_of (value cpu src));
-      cpu.pc <- next
+      let rd = reader cpu src and wr = writer cpu d in
+      fun () ->
+        tick s base;
+        wr (Word.addr_of (rd ()));
+        cpu.pc <- next
   | Settag (tag, d) ->
-      let v = value cpu d in
-      store cpu d (Word.make_ptr ~tag:(Tags.to_int tag) ~addr:(Word.addr_of v));
-      cpu.pc <- next
+      let rd = reader cpu d and wr = writer cpu d and tag = Tags.to_int tag in
+      fun () ->
+        tick s base;
+        let v = rd () in
+        wr (Word.make_ptr ~tag ~addr:(Word.addr_of v));
+        cpu.pc <- next
+  | Bin (((ADD | SUB) as op), S, Reg d, Reg r, Imm v) ->
+      (* two's complement modulo 2^36: adding the negated immediate is
+         Word.sub of the masked one *)
+      let v = if op = ADD then v else -v in
+      fun () ->
+        tick s base;
+        regs.(d) <- (regs.(r) + v) land mask;
+        cpu.pc <- next
   | Bin (op, S, d, s1, s2) ->
-      let x = value cpu s1 and y = value cpu s2 in
-      let r =
-        if is_float_binop op then
-          Float36.encode_single
-            (float_binop cpu op (Float36.decode_single x) (Float36.decode_single y))
-        else int_binop cpu op x y
-      in
-      store cpu d r;
-      cpu.pc <- next
+      let x = reader cpu s1 and y = reader cpu s2 and wr = writer cpu d in
+      if is_float_binop op then
+        fun () ->
+          tick s base;
+          let x = x () in
+          let y = y () in
+          wr
+            (Float36.encode_single
+               (float_binop cpu op (Float36.decode_single x) (Float36.decode_single y)));
+          cpu.pc <- next
+      else
+        fun () ->
+          tick s base;
+          let x = x () in
+          let y = y () in
+          wr (int_binop cpu op x y);
+          cpu.pc <- next
   | Bin (op, D, d, s1, s2) ->
-      let x = value2 cpu s1 and y = value2 cpu s2 in
-      if is_float_binop op then begin
-        let r = float_binop cpu op (Float36.decode_double x) (Float36.decode_double y) in
-        store2 cpu d (Float36.encode_double r)
-      end
-      else fail cpu "double-width integer arithmetic unsupported";
-      cpu.pc <- next
+      let x = pair_reader cpu s1 and y = pair_reader cpu s2 and wr = pair_writer cpu d in
+      fun () ->
+        tick s base;
+        let x = x () in
+        let y = y () in
+        if is_float_binop op then begin
+          let r = float_binop cpu op (Float36.decode_double x) (Float36.decode_double y) in
+          wr (Float36.encode_double r)
+        end
+        else fail cpu "double-width integer arithmetic unsupported";
+        cpu.pc <- next
   | Un (op, S, d, src) ->
-      let x = value cpu src in
-      let r =
+      let rd = reader cpu src and wr = writer cpu d in
+      let f : int -> int =
         match op with
-        | NEG -> Word.neg x
-        | NOT -> Word.lognot x
-        | DATUM -> Word.of_int (Word.datum_signed x)
-        | FLOAT -> Float36.encode_single (float_of_int (Word.to_signed x))
+        | NEG -> Word.neg
+        | NOT -> Word.lognot
+        | DATUM -> fun x -> Word.of_int (Word.datum_signed x)
+        | FLOAT -> fun x -> Float36.encode_single (float_of_int (Word.to_signed x))
         | FIX rounding ->
-            let f = Float36.decode_single x in
-            let v =
-              match rounding with
-              | Floor -> Float.floor f
-              | Ceiling -> Float.ceil f
-              | Truncate -> Float.trunc f
-              | Round ->
-                  (* ties to even, as the Lisp-level ROUND requires *)
-                  if Float.abs (f -. Float.trunc f) = 0.5 then begin
-                    let fl = Float.floor f in
-                    if Float.rem fl 2.0 = 0.0 then fl else fl +. 1.0
-                  end
-                  else Float.round f
-            in
-            if Float.is_nan v || Float.abs v > 3.4e10 then fail cpu "FIX out of range"
-            else Word.of_int (int_of_float v)
-        | _ -> Float36.encode_single (float_unop cpu op (Float36.decode_single x))
+            fun x ->
+              let f = Float36.decode_single x in
+              let v =
+                match rounding with
+                | Floor -> Float.floor f
+                | Ceiling -> Float.ceil f
+                | Truncate -> Float.trunc f
+                | Round ->
+                    (* ties to even, as the Lisp-level ROUND requires *)
+                    if Float.abs (f -. Float.trunc f) = 0.5 then begin
+                      let fl = Float.floor f in
+                      if Float.rem fl 2.0 = 0.0 then fl else fl +. 1.0
+                    end
+                    else Float.round f
+              in
+              if Float.is_nan v || Float.abs v > 3.4e10 then fail cpu "FIX out of range"
+              else Word.of_int (int_of_float v)
+        | _ -> fun x -> Float36.encode_single (float_unop cpu op (Float36.decode_single x))
       in
-      store cpu d r;
-      cpu.pc <- next
+      fun () ->
+        tick s base;
+        wr (f (rd ()));
+        cpu.pc <- next
   | Un (op, D, d, src) ->
-      let x = Float36.decode_double (value2 cpu src) in
-      (match op with
-      | FNEG | FABS | FSQRT | FSIN | FCOS | FEXP | FLOG ->
-          store2 cpu d (Float36.encode_double (float_unop cpu op x))
-      | _ -> fail cpu "unsupported double-width unop");
-      cpu.pc <- next
+      let rd = pair_reader cpu src and wr = pair_writer cpu d in
+      fun () ->
+        tick s base;
+        let x = Float36.decode_double (rd ()) in
+        (match op with
+        | FNEG | FABS | FSQRT | FSIN | FCOS | FEXP | FLOG ->
+            wr (Float36.encode_double (float_unop cpu op x))
+        | _ -> fail cpu "unsupported double-width unop");
+        cpu.pc <- next
+  | Jmp (c, Reg r, Imm v, Abs n) ->
+      let y = Word.to_signed (v land mask) in
+      fun () ->
+        tick s base;
+        let x = Word.to_signed regs.(r) in
+        cpu.pc <- (if Isa.cond_holds c (compare x y) then n else next)
   | Jmp (c, s1, s2, t) ->
-      let x = Word.to_signed (value cpu s1) and y = Word.to_signed (value cpu s2) in
-      cpu.pc <- (if Isa.cond_holds c (compare x y) then jump_target t else next)
+      let x = reader cpu s1 and y = reader cpu s2 and take = take t in
+      fun () ->
+        tick s base;
+        let x = Word.to_signed (x ()) in
+        let y = Word.to_signed (y ()) in
+        if Isa.cond_holds c (compare x y) then take () else cpu.pc <- next
   | Fjmp (c, s1, s2, t) ->
-      let x = Float36.decode_single (value cpu s1)
-      and y = Float36.decode_single (value cpu s2) in
-      cpu.pc <- (if Isa.cond_holds c (compare x y) then jump_target t else next)
+      let x = reader cpu s1 and y = reader cpu s2 and take = take t in
+      fun () ->
+        tick s base;
+        let x = Float36.decode_single (x ()) in
+        let y = Float36.decode_single (y ()) in
+        if Isa.cond_holds c (compare x y) then take () else cpu.pc <- next
+  | Jmpz (c, Reg r, Abs n) ->
+      fun () ->
+        tick s base;
+        let x = Word.to_signed regs.(r) in
+        cpu.pc <- (if Isa.cond_holds c (compare x 0) then n else next)
   | Jmpz (c, src, t) ->
-      let x = Word.to_signed (value cpu src) in
-      cpu.pc <- (if Isa.cond_holds c (compare x 0) then jump_target t else next)
+      let rd = reader cpu src and take = take t in
+      fun () ->
+        tick s base;
+        let x = Word.to_signed (rd ()) in
+        if Isa.cond_holds c (compare x 0) then take () else cpu.pc <- next
+  | Jmptag (c, Reg r, tag, Abs n) ->
+      let tag = Tags.to_int tag in
+      fun () ->
+        tick s base;
+        let x = Word.tag_of regs.(r) in
+        cpu.pc <- (if Isa.cond_holds c (compare x tag) then n else next)
   | Jmptag (c, src, tag, t) ->
-      let x = Word.tag_of (value cpu src) in
-      cpu.pc <- (if Isa.cond_holds c (compare x (Tags.to_int tag)) then jump_target t else next)
-  | Jmpa t -> cpu.pc <- jump_target t
-  | Jmpi src -> cpu.pc <- Word.addr_of (value cpu src)
+      let rd = reader cpu src and take = take t and tag = Tags.to_int tag in
+      fun () ->
+        tick s base;
+        let x = Word.tag_of (rd ()) in
+        if Isa.cond_holds c (compare x tag) then take () else cpu.pc <- next
+  | Jmpa (Abs n) ->
+      fun () ->
+        tick s base;
+        cpu.pc <- n
+  | Jmpa t ->
+      let take = take t in
+      fun () ->
+        tick s base;
+        take ()
+  | Jmpi src ->
+      let rd = reader cpu src in
+      fun () ->
+        tick s base;
+        cpu.pc <- Word.addr_of (rd ())
   | Jsp (r, t) ->
-      cpu.regs.(r) <- Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr:next;
-      cpu.pc <- jump_target t
+      let link = code_ptr next and take = take t in
+      fun () ->
+        tick s base;
+        regs.(r) <- link;
+        take ()
+  | Push (Reg r) ->
+      fun () ->
+        tick s base;
+        push cpu regs.(r);
+        cpu.pc <- next
   | Push src ->
-      push cpu (value cpu src);
-      cpu.pc <- next
+      let rd = reader cpu src in
+      fun () ->
+        tick s base;
+        push cpu (rd ());
+        cpu.pc <- next
   | Pop d ->
-      let v = pop cpu in
-      store cpu d v;
-      cpu.pc <- next
+      let wr = writer cpu d in
+      fun () ->
+        tick s base;
+        let v = pop cpu in
+        wr v;
+        cpu.pc <- next
   | Allocs (fill, n) ->
-      let v = value cpu fill in
-      for _ = 1 to n do
-        push cpu v
-      done;
-      cpu.pc <- next
+      let rd = reader cpu fill in
+      fun () ->
+        tick s base;
+        let v = rd () in
+        for _ = 1 to n do
+          push cpu v
+        done;
+        cpu.pc <- next
   | Call (f, n) ->
-      let fobj = value cpu f in
-      do_call cpu fobj n ~ret:(Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr:next)
+      let rd = reader cpu f and ret = code_ptr next in
+      fun () ->
+        tick s base;
+        do_call cpu (rd ()) n ~ret
   | Tcall (f, n) ->
-      let fobj = value cpu f in
-      do_tcall cpu fobj n
-  | Ret -> do_ret cpu
+      let rd = reader cpu f in
+      fun () ->
+        tick s base;
+        do_tcall cpu (rd ()) n
+  | Ret ->
+      fun () ->
+        tick s base;
+        do_ret cpu
   | Svc id ->
-      s.svcs <- s.svcs + 1;
-      cpu.pc <- next;
-      cpu.service cpu id
+      fun () ->
+        tick s base;
+        s.svcs <- s.svcs + 1;
+        cpu.pc <- next;
+        cpu.service cpu id
   | Vdot (d, x, y, n) ->
-      let xa = Word.addr_of (value cpu x)
-      and ya = Word.addr_of (value cpu y)
-      and len = Word.to_signed (value cpu n) in
-      let acc = ref 0.0 in
-      for i = 0 to len - 1 do
-        acc :=
-          !acc
-          +. Float36.decode_single (Mem.read cpu.mem (xa + i))
-             *. Float36.decode_single (Mem.read cpu.mem (ya + i))
-      done;
-      s.cycles <- s.cycles + (2 * max 0 len);
-      store cpu d (Float36.encode_single !acc);
-      cpu.pc <- next
+      let rx = reader cpu x and ry = reader cpu y and rn = reader cpu n and wr = writer cpu d in
+      fun () ->
+        tick s base;
+        let xa = Word.addr_of (rx ()) in
+        let ya = Word.addr_of (ry ()) in
+        let len = Word.to_signed (rn ()) in
+        let acc = ref 0.0 in
+        for i = 0 to len - 1 do
+          acc :=
+            !acc
+            +. Float36.decode_single (Mem.read mem (xa + i))
+               *. Float36.decode_single (Mem.read mem (ya + i))
+        done;
+        s.cycles <- s.cycles + (2 * max 0 len);
+        wr (Float36.encode_single !acc);
+        cpu.pc <- next
   | Vadd (d, x, y, n) ->
-      let da = Word.addr_of (value cpu d)
-      and xa = Word.addr_of (value cpu x)
-      and ya = Word.addr_of (value cpu y)
-      and len = Word.to_signed (value cpu n) in
-      for i = 0 to len - 1 do
-        let v =
-          Float36.decode_single (Mem.read cpu.mem (xa + i))
-          +. Float36.decode_single (Mem.read cpu.mem (ya + i))
-        in
-        Mem.write cpu.mem (da + i) (Float36.encode_single v)
-      done;
-      s.cycles <- s.cycles + (2 * max 0 len);
-      cpu.pc <- next
-  | Halt -> cpu.halted <- true
-  | Nop -> cpu.pc <- next);
-  (* Charge the cycles this dispatch added, minus anything a nested
-     simulator run (service handler re-entering compiled code) already
-     attributed, to the path that was current at fetch time. *)
+      let rd = reader cpu d and rx = reader cpu x and ry = reader cpu y and rn = reader cpu n in
+      fun () ->
+        tick s base;
+        let da = Word.addr_of (rd ()) in
+        let xa = Word.addr_of (rx ()) in
+        let ya = Word.addr_of (ry ()) in
+        let len = Word.to_signed (rn ()) in
+        for i = 0 to len - 1 do
+          let v =
+            Float36.decode_single (Mem.read mem (xa + i))
+            +. Float36.decode_single (Mem.read mem (ya + i))
+          in
+          Mem.write mem (da + i) (Float36.encode_single v)
+        done;
+        s.cycles <- s.cycles + (2 * max 0 len);
+        cpu.pc <- next
+  | Halt ->
+      fun () ->
+        tick s base;
+        cpu.halted <- true
+  | Nop ->
+      fun () ->
+        tick s base;
+        cpu.pc <- next
+
+(* The code store -------------------------------------------------------- *)
+
+let create ?mem () =
+  let mem = match mem with Some m -> m | None -> Mem.create () in
+  let cpu =
+    {
+      mem;
+      code = Array.make 1024 Isa.Halt;
+      ops = Array.make 1024 ignore;
+      code_len = 0;
+      regs = Array.make Isa.nregs 0;
+      pc = 0;
+      halted = false;
+      stats = fresh_stats ();
+      service = (fun _ _ -> ());
+      bad_function_svc = -1;
+      svc_frames = [||];
+      profile = None;
+      callgraph = None;
+      symbols = [];
+      mark_segments = [];
+      deadline = None;
+    }
+  in
+  (* Code address 0 is the universal halt used as the host's return
+     continuation. *)
+  cpu.code.(0) <- Isa.Halt;
+  cpu.ops.(0) <- decode cpu 0 Isa.Halt;
+  cpu.code_len <- 1;
+  cpu.regs.(Isa.sp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.fp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.tp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.sb) <- Mem.bind_base mem;
+  cpu
+
+let ensure_capacity cpu n =
+  if cpu.code_len + n > Array.length cpu.code then begin
+    let cap = max (2 * Array.length cpu.code) (cpu.code_len + n) in
+    let grow a fill =
+      let fresh = Array.make cap fill in
+      Array.blit a 0 fresh 0 cpu.code_len;
+      fresh
+    in
+    cpu.code <- grow cpu.code Isa.Halt;
+    cpu.ops <- grow cpu.ops ignore
+  end
+
+let load cpu prog =
+  let org = cpu.code_len in
+  let image = Asm.assemble cpu.mem ~org prog in
+  let n = Array.length image.instrs in
+  ensure_capacity cpu n;
+  Array.blit image.instrs 0 cpu.code cpu.code_len n;
+  Array.iteri (fun k i -> cpu.ops.(org + k) <- decode cpu (org + k) i) image.instrs;
+  cpu.code_len <- cpu.code_len + n;
+  (match image.Asm.marks with
+  | [] -> ()
+  | marks ->
+      cpu.mark_segments <- (org, org + n, Array.of_list marks) :: cpu.mark_segments);
+  image
+
+(* The observer ------------------------------------------------------------ *)
+
+(* A CALL or TCALL arrived at [entry]: count the arrival per entry
+   address and move the shadow call stack (a tail call replaces the top
+   frame). *)
+let observe_entry cpu ~entry ~tail =
+  (match cpu.profile with
+  | Some p ->
+      Hashtbl.replace p.p_entry_calls entry
+        (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
+  | None -> ());
+  cg_enter cpu ~entry ~tail
+
+(* One instruction under observation.  Every cycle the instruction adds
+   (base plus vector per-element costs, plus whatever a service's nested
+   run adds) charges to the fetched PC in the profile; on the shadow
+   stack it charges to the call path current at fetch time, so a CALL's
+   own cycles go to the caller, minus what nested runs already charged.
+   A service trap runs inside a synthetic "svc:" frame when the runtime
+   named one, so host-side work (allocation, generic arithmetic, THROW)
+   carries call-path context; truncation (not a blind pop) keeps this
+   correct when the handler THROWs to a shallower frame. *)
+let observed_step cpu =
+  let pc = cpu.pc in
+  let i = cpu.code.(pc) in
+  let s = cpu.stats in
+  let cycles0 = s.cycles and calls0 = s.calls and tcalls0 = s.tcalls in
+  let cg_cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
+  let op = cpu.ops.(pc) in
+  (match (i, cpu.callgraph) with
+  | Svc id, Some cg when id >= 0 && id < Array.length cpu.svc_frames && cpu.svc_frames.(id) <> ""
+    ->
+      let depth = cg.cg_depth in
+      cg_push cg ~name:cpu.svc_frames.(id) ~fp:cpu.regs.(Isa.fp);
+      Fun.protect ~finally:(fun () -> shadow_truncate cpu depth) op
+  | _ -> op ());
+  (match i with
+  | Call _ when s.calls > calls0 -> observe_entry cpu ~entry:cpu.pc ~tail:false
+  | Tcall _ when s.tcalls > tcalls0 -> observe_entry cpu ~entry:cpu.pc ~tail:true
+  | Ret -> ( match cpu.callgraph with Some cg -> cg_pop cg | None -> ())
+  | _ -> ());
   (match cpu.callgraph with
   | Some cg ->
       cg_cell0 := !cg_cell0 + (s.cycles - cg.cg_charged);
@@ -1140,32 +1415,43 @@ let step cpu =
   match cpu.profile with
   | None -> ()
   | Some p ->
-      ensure_profile_capacity p prof_pc;
-      p.p_cycles.(prof_pc) <- p.p_cycles.(prof_pc) + (s.cycles - prof_cycles0);
-      p.p_instrs.(prof_pc) <- p.p_instrs.(prof_pc) + 1;
-      if Isa.is_mov i then p.p_movs.(prof_pc) <- p.p_movs.(prof_pc) + 1;
-      let m = Isa.mnemonic i in
-      Hashtbl.replace p.p_opcodes m
-        (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_opcodes m))
+      ensure_profile_capacity p pc;
+      p.p_cycles.(pc) <- p.p_cycles.(pc) + (s.cycles - cycles0);
+      p.p_instrs.(pc) <- p.p_instrs.(pc) + 1
 
+(* Execution ---------------------------------------------------------------- *)
+
+(* The engine: fetch the decoded closure at the pc and call it, until
+   HALT or the cycle limit.  Whether the observer runs is decided once,
+   here; the unobserved loop does nothing per instruction but the pc
+   range check, the limit test and the call. *)
 let run ?(fuel = 500_000_000) cpu ~at =
   cpu.pc <- at;
   cpu.halted <- false;
-  let start = cpu.stats.cycles in
-  let fuel_limit = start + fuel in
+  let s = cpu.stats in
+  let fuel_limit = s.cycles + fuel in
   let limit =
     match cpu.deadline with Some d -> min d fuel_limit | None -> fuel_limit
   in
-  while (not cpu.halted) && cpu.stats.cycles < limit do
-    (* Mem raises Failure on out-of-range addresses; a wild pointer in a
-       miscompiled program must surface as a structured trap, not as an
-       untyped host exception. *)
-    try step cpu
-    with Failure m -> trap cpu Bad_address "%s" m
-  done;
+  (* Mem raises Failure on out-of-range addresses; a wild pointer in a
+     miscompiled program must surface as a structured trap, not as an
+     untyped host exception. *)
+  (try
+     if cpu.profile <> None || cpu.callgraph <> None then
+       while (not cpu.halted) && s.cycles < limit do
+         if cpu.pc < 0 || cpu.pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
+         observed_step cpu
+       done
+     else
+       while (not cpu.halted) && s.cycles < limit do
+         let pc = cpu.pc in
+         if pc < 0 || pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
+         (Array.unsafe_get cpu.ops pc) ()
+       done
+   with Failure m -> trap cpu Bad_address "%s" m);
   if not cpu.halted then
     match cpu.deadline with
-    | Some d when cpu.stats.cycles >= d ->
+    | Some d when s.cycles >= d ->
         (* No cycle counts in the message: the same deadline must render
            identically whether it fires during a cold compile or a warm
            replay, so incident journals stay byte-deterministic. *)
@@ -1174,8 +1460,9 @@ let run ?(fuel = 500_000_000) cpu ~at =
 
 let call_function ?fuel cpu ~fobj ~args =
   List.iter (fun v -> push cpu v) args;
-  do_call cpu fobj (List.length args)
-    ~ret:(Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr:halt_addr);
+  let calls0 = cpu.stats.calls in
+  do_call cpu fobj (List.length args) ~ret:(code_ptr halt_addr);
+  if cpu.stats.calls > calls0 then observe_entry cpu ~entry:cpu.pc ~tail:false;
   let entry = cpu.pc in
   run ?fuel cpu ~at:entry;
   cpu.regs.(Isa.a)

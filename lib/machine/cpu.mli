@@ -1,9 +1,11 @@
-(** The S-1 simulator: decoded-instruction interpreter with a cycle cost
+(** The S-1 simulator: a closure-threaded interpreter with a cycle cost
     model and execution statistics.
 
     Code lives in a growable instruction store indexed by "code address"
     (one slot per instruction; {!Isa.words} models the fetch-width cost).
-    Data, stacks and the Lisp heap live in a {!Mem.t}.
+    {!load} decodes each instruction once into a closure ({!t.ops});
+    {!run} calls the closure at the pc until [Halt].  Data, stacks and
+    the Lisp heap live in a {!Mem.t}.
 
     The Lisp function-call convention is microcoded in [CALL]/[TCALL]/
     [RET] (standing in for the paper's [%SETUP]/[%CALL] macro expansions):
@@ -36,9 +38,7 @@ type stats = {
 
 type profile = {
   mutable p_cycles : int array;  (** cycles attributed per code address *)
-  mutable p_instrs : int array;
-  mutable p_movs : int array;
-  p_opcodes : (string, int) Hashtbl.t;  (** mnemonic -> executions *)
+  mutable p_instrs : int array;  (** executions per code address *)
   p_entry_calls : (int, int) Hashtbl.t;  (** entry pc -> CALL/TCALL count *)
 }
 
@@ -69,6 +69,11 @@ type callgraph = {
 type t = {
   mem : Mem.t;
   mutable code : Isa.instr array;
+  mutable ops : (unit -> unit) array;
+      (** [code] decoded once, at load: the closure at a code address
+          executes the instruction there — operands, jump target, base
+          cycles and memory-traffic charges resolved — and sets the next
+          pc.  Grows with [code]. *)
   mutable code_len : int;
   regs : int array;
   mutable pc : int;
@@ -76,6 +81,10 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;  (** runtime service trap handler *)
   mutable bad_function_svc : int;  (** service invoked by CALL on a non-function *)
+  mutable svc_frames : string array;
+      (** per service id, the synthetic shadow frame the observer pushes
+          around that SVC trap (["svc:CONS"]); [""] or out of range for
+          none.  Set by the runtime at boot. *)
   mutable profile : profile option;  (** per-PC attribution; None = off (zero cost) *)
   mutable callgraph : callgraph option;  (** call-path attribution; None = off *)
   mutable symbols : (int * int * string) list;
@@ -143,14 +152,14 @@ val push : t -> int -> unit
 val pop : t -> int
 (** The stack operations CALL uses, exposed for runtime services. *)
 
-val step : t -> unit
-(** Execute one instruction. @raise Trap on machine faults. *)
-
 val run : ?fuel:int -> t -> at:int -> unit
-(** Start execution at a code address and run to [Halt].
-    @raise Trap when fuel (default 500M cycles) is exhausted, or with
-    kind {!Deadline_expired} when the cumulative watchdog ({!t.deadline})
-    fires first. *)
+(** Start execution at a code address and run to [Halt], calling the
+    decoded closure ({!t.ops}) at each pc.  The observer (profile and
+    shadow call stack) runs only if one of them is enabled when [run]
+    starts.
+    @raise Trap on machine faults; when fuel (default 500M cycles) is
+    exhausted; or with kind {!Deadline_expired} when the cumulative
+    watchdog ({!t.deadline}) fires first. *)
 
 val call_function : ?fuel:int -> t -> fobj:int -> args:int list -> int
 (** Host-side entry: push [args], [CALL] the function object, run until
@@ -161,9 +170,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Profiling}
 
-    With profiling enabled, {!step} attributes every cycle and
-    instruction to the fetched PC, and [CALL]/[TCALL] count arrivals per
-    entry address.  {!add_symbol} names loaded code ranges (the compiler
+    With profiling enabled, the observer {!run} selects attributes every
+    cycle and instruction to the fetched PC, and counts [CALL]/[TCALL]
+    arrivals per entry address.  {!add_symbol} names loaded code ranges (the compiler
     driver and the runtime's native stubs register every function they
     load) so {!profile_by_function} can fold the PC-level tables into a
     hottest-functions table. *)
@@ -191,10 +200,12 @@ val profile_by_function : t -> func_profile list
 
 (** {1 Call-path profiling}
 
-    With the callgraph enabled, the CALL/TCALL/RET microcode maintains a
-    shadow call stack and {!step} attributes every cycle to the full
-    call path current at fetch time (so a CALL's own cycles charge to
-    the caller).  Invariants:
+    With the callgraph enabled, the observer {!run} selects maintains a
+    shadow call stack beside the CALL/TCALL/RET microcode and attributes
+    every cycle to the full call path current at fetch time (so a CALL's
+    own cycles charge to the caller).  Each SVC trap the runtime named in
+    {!t.svc_frames} runs inside a synthetic frame of that name.
+    Invariants:
 
     - a tail call replaces the top shadow frame: tail recursion adds no
       shadow depth, mirroring the machine's O(1)-stack tail calls;

@@ -22,14 +22,18 @@ let create ?(config = default_config) () =
 let config m = m.cfg
 let size m = Array.length m.words
 
+(* The range faults live out of line so that [read] and [write] stay
+   small enough for the compiler to inline into the simulator's decoded
+   instructions. *)
+let read_fault addr = failwith (Printf.sprintf "memory read out of range: %d" addr)
+let write_fault addr = failwith (Printf.sprintf "memory write out of range: %d" addr)
+
 let read m addr =
-  if addr < 0 || addr >= Array.length m.words then
-    failwith (Printf.sprintf "memory read out of range: %d" addr)
+  if addr < 0 || addr >= Array.length m.words then read_fault addr
   else Array.unsafe_get m.words addr
 
 let write m addr v =
-  if addr < 0 || addr >= Array.length m.words then
-    failwith (Printf.sprintf "memory write out of range: %d" addr)
+  if addr < 0 || addr >= Array.length m.words then write_fault addr
   else Array.unsafe_set m.words addr (v land Word.mask)
 
 let sq_base _ = 0

@@ -43,8 +43,14 @@ exception Thrown of int * int
 
 let err fmt_str = Printf.ksprintf (fun s -> raise (Lisp_error s)) fmt_str
 
-(* Service handler table: id -> handler. *)
-let handlers : (int, t -> unit) Hashtbl.t = Hashtbl.create 64
+(* Service handler table, indexed by service id.  Handlers register at
+   module initialization only, so dispatch reads it without a lock. *)
+let handlers : (t -> unit) option array ref = ref [||]
+
+(* Shadow-frame name per service id: "svc:CONS" for a runtime service,
+   "" for an id the runtime does not handle (the interpreter's
+   trampoline).  Every world's CPU shares it ({!Cpu.t.svc_frames}). *)
+let frame_names : string array ref = ref [||]
 
 (* Symbols -------------------------------------------------------------------- *)
 
@@ -267,9 +273,31 @@ let certify_word rt w =
    ({!load_native}), so booting writes only to the world. *)
 type native = { n_name : string; n_min : int; n_max : int; n_svc : int }
 
+(* Shadow-frame label for a service trap: "*:SQ-CONS" -> "svc:CONS". *)
+let svc_frame_name id =
+  let name = Isa.svc_name id in
+  let name =
+    let prefix = "*:SQ-" in
+    if String.length name > String.length prefix
+       && String.sub name 0 (String.length prefix) = prefix
+    then String.sub name (String.length prefix) (String.length name - String.length prefix)
+    else name
+  in
+  "svc:" ^ name
+
+let set_handler id f =
+  let n = Array.length !handlers in
+  if id >= n then begin
+    let cap = max (id + 1) (2 * n) in
+    handlers := Array.init cap (fun i -> if i < n then !handlers.(i) else None);
+    frame_names := Array.init cap (fun i -> if i < n then !frame_names.(i) else "")
+  end;
+  !handlers.(id) <- Some f;
+  !frame_names.(id) <- svc_frame_name id
+
 let define_native ~name ~min_args ~max_args impl =
   let id = Isa.register_svc (Printf.sprintf "*:SQ-NATIVE-%s" name) in
-  Hashtbl.replace handlers id (fun rt ->
+  set_handler id (fun rt ->
       (* Natives may store arguments into heap structure, so certify any
          pdl numbers on the way in. *)
       let args = List.map (certify_word rt) (frame_args rt) in
@@ -424,24 +452,33 @@ let do_throw rt tag value =
 
 (* Service handlers -------------------------------------------------------------- *)
 
-(* Shadow-frame label for a service trap: "*:SQ-CONS" -> "svc:CONS". *)
-let svc_frame_name id =
-  let name = Isa.svc_name id in
-  let name =
-    let prefix = "*:SQ-" in
-    if String.length name > String.length prefix
-       && String.sub name 0 (String.length prefix) = prefix
-    then String.sub name (String.length prefix) (String.length name - String.length prefix)
-    else name
-  in
-  "svc:" ^ name
-
 let r0 rt = Cpu.get_reg rt.cpu 0
 let r1 rt = Cpu.get_reg rt.cpu 1
 let set_r0 rt v = Cpu.set_reg rt.cpu 0 v
 
+(* Fixnum fast paths for the generic arithmetic services: two fixnum
+   operands with a fixnum result leave exactly the word the Numerics
+   path leaves (an immediate, nothing allocated); any other operand, or
+   a result outside [fixnum_min, fixnum_max], takes that path. *)
+let fixnums rt = Obj.is_fixnum (r0 rt) && Obj.is_fixnum (r1 rt)
+
+let fixnum_arith (op : int -> int -> int) slow rt =
+  if fixnums rt then
+    let n = op (Obj.fixnum_value (r0 rt)) (Obj.fixnum_value (r1 rt)) in
+    if n >= Word.fixnum_min && n <= Word.fixnum_max then set_r0 rt (Obj.fixnum n) else slow rt
+  else slow rt
+
+let fixnum_cmp (rel : int -> int -> bool) slow rt =
+  if fixnums rt then
+    set_r0 rt (bool_word rt (rel (Obj.fixnum_value (r0 rt)) (Obj.fixnum_value (r1 rt))))
+  else slow rt
+
+let fixnum_zerop slow rt =
+  if Obj.is_fixnum (r0 rt) then set_r0 rt (bool_word rt (Obj.fixnum_value (r0 rt) = 0))
+  else slow rt
+
 let install_handlers () =
-  let h id f = Hashtbl.replace handlers id f in
+  let h = set_handler in
   let num1 rt = Numerics.decode rt.obj (r0 rt) in
   let num2 rt = (Numerics.decode rt.obj (r0 rt), Numerics.decode rt.obj (r1 rt)) in
   let enc rt n = Numerics.encode rt.obj n in
@@ -466,28 +503,29 @@ let install_handlers () =
       let n = Word.to_signed (r0 rt) in
       set_r0 rt (Obj.vector rt.obj (Array.make n rt.nil)));
   (* Generic arithmetic *)
-  h Svc.generic_add (arith Numerics.add);
-  h Svc.generic_sub (arith Numerics.sub);
+  h Svc.generic_add (fixnum_arith ( + ) (arith Numerics.add));
+  h Svc.generic_sub (fixnum_arith ( - ) (arith Numerics.sub));
   h Svc.generic_mul (arith Numerics.mul);
   h Svc.generic_div (fun rt ->
       let a, b = num2 rt in
       (try set_r0 rt (enc rt (Numerics.div a b))
        with Division_by_zero -> err "division by zero"));
   h Svc.generic_neg (arith1 Numerics.neg);
-  h Svc.generic_lss (cmp ( < ));
-  h Svc.generic_leq (cmp ( <= ));
-  h Svc.generic_gtr (cmp ( > ));
-  h Svc.generic_geq (cmp ( >= ));
-  h Svc.generic_num_eq (fun rt ->
-      let a, b = num2 rt in
-      set_r0 rt (bool_word rt (Numerics.equal_value a b)));
+  h Svc.generic_lss (fixnum_cmp ( < ) (cmp ( < )));
+  h Svc.generic_leq (fixnum_cmp ( <= ) (cmp ( <= )));
+  h Svc.generic_gtr (fixnum_cmp ( > ) (cmp ( > )));
+  h Svc.generic_geq (fixnum_cmp ( >= ) (cmp ( >= )));
+  h Svc.generic_num_eq
+    (fixnum_cmp ( = ) (fun rt ->
+         let a, b = num2 rt in
+         set_r0 rt (bool_word rt (Numerics.equal_value a b))));
   h Svc.generic_max (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b >= 0 then a else b)));
   h Svc.generic_min (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b <= 0 then a else b)));
-  h Svc.generic_zerop (pred1 Numerics.zerop);
+  h Svc.generic_zerop (fixnum_zerop (pred1 Numerics.zerop));
   h Svc.generic_oddp (pred1 Numerics.oddp);
   h Svc.generic_evenp (pred1 Numerics.evenp);
   let rounding f rt =
@@ -569,6 +607,19 @@ let install_handlers () =
 
 let () = install_handlers ()
 
+(* The allocating services, indexed by id: each counts a heap.site.*
+   attribution. *)
+let allocating =
+  let ids =
+    [
+      Svc.cons; Svc.single_flonum_cons; Svc.double_flonum_cons; Svc.closure_cons;
+      Svc.vector_cons; Svc.make_rest; Svc.box_integer;
+    ]
+  in
+  let a = Array.make (1 + List.fold_left max 0 ids) false in
+  List.iter (fun id -> a.(id) <- true) ids;
+  a
+
 (* Boot -------------------------------------------------------------------- *)
 
 let create ?config () =
@@ -618,47 +669,42 @@ let create ?config () =
   S1_obs.Timeline.set_clock (with_owner (fun c -> c.Cpu.stats.Cpu.cycles) 0);
   S1_obs.Timeline.set_path_provider (with_owner Cpu.shadow_path "");
   Heap.set_alloc_hook heap (fun words -> Cpu.shadow_charge_alloc cpu words);
-  (* Service dispatch *)
-  let allocating_svcs =
-    [
-      Svc.cons; Svc.single_flonum_cons; Svc.double_flonum_cons; Svc.closure_cons;
-      Svc.vector_cons; Svc.make_rest; Svc.box_integer;
-    ]
+  (* Service dispatch.  An allocating service counts one heap.site.*
+     allocation against the source line of the provenance mark covering
+     the trapping pc; the counter name is rendered once per pc (the code
+     store is append-only, so a loaded pc's mark never changes). *)
+  let sites : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  let site_counter pc =
+    match Hashtbl.find_opt sites pc with
+    | Some name -> name
+    | None ->
+        let name =
+          match Cpu.provenance_at cpu pc with
+          | Some { S1_machine.Asm.m_loc = Some l; _ } -> "heap.site." ^ S1_loc.Loc.line_key l
+          | _ -> "heap.site.unattributed"
+        in
+        (* an address past the end of the store is not loaded yet *)
+        if pc < cpu.Cpu.code_len then Hashtbl.replace sites pc name;
+        name
   in
+  cpu.Cpu.svc_frames <- !frame_names;
   cpu.Cpu.service <-
     (fun _cpu id ->
-      (* per-site allocation attribution: the provenance mark covering
-         the trapping SVC names the source line that allocated *)
-      if List.mem id allocating_svcs then
-        S1_obs.Obs.incr
-          (match Cpu.provenance_at cpu cpu.Cpu.pc with
-          | Some { S1_machine.Asm.m_loc = Some l; _ } ->
-              "heap.site." ^ S1_loc.Loc.line_key l
-          | _ -> "heap.site.unattributed");
-      match Hashtbl.find_opt handlers id with
-      | Some f ->
+      let table = !handlers in
+      match if id >= 0 && id < Array.length table then table.(id) else None with
+      | Some f -> (
+          if id < Array.length allocating && allocating.(id) then
+            S1_obs.Obs.incr (site_counter cpu.Cpu.pc);
           (* surface runtime-level faults as Lisp error conditions;
              resource exhaustion becomes a machine trap carrying the pc
              and source provenance of the faulting instruction *)
-          let dispatch () =
-            try f rt with
-            | Numerics.Not_a_number what -> err "not a number: %s" what
-            | Division_by_zero -> err "division by zero"
-            | Heap.Heap_exhausted { requested } ->
-                Cpu.trap cpu Cpu.Heap_exhaustion
-                  "heap exhausted (requested %d words after GC)" requested
-            | Failure msg -> err "%s" msg
-          in
-          if Cpu.callgraph_on cpu then begin
-            (* a synthetic shadow frame per service, so host-side work
-               (allocation, generic arithmetic, THROW) carries call-path
-               context; truncation (not a blind pop) keeps this correct
-               even when the handler THROWs to a shallower frame *)
-            let depth = Cpu.shadow_depth cpu in
-            Cpu.shadow_push cpu (svc_frame_name id);
-            Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) dispatch
-          end
-          else dispatch ()
+          try f rt with
+          | Numerics.Not_a_number what -> err "not a number: %s" what
+          | Division_by_zero -> err "division by zero"
+          | Heap.Heap_exhausted { requested } ->
+              Cpu.trap cpu Cpu.Heap_exhaustion
+                "heap exhausted (requested %d words after GC)" requested
+          | Failure msg -> err "%s" msg)
       | None -> err "unknown service %s" (Isa.svc_name id));
   cpu.Cpu.bad_function_svc <- Svc.wrong_type_of_function;
   rt

@@ -539,6 +539,52 @@ let test_cpu_stack_overflow_fault () =
         (string_contains message "stack overflow")
   | () -> Alcotest.fail "expected stack overflow fault"
 
+(* Trap parity: each machine fault traps with the same kind, pc and
+   message — and leaves the same statistics — whether or not the
+   observer (profile and shadow call stack) runs. *)
+let trap_of ~observe ?fuel ?deadline prog =
+  let cpu = Cpu.create () in
+  let image = Cpu.load cpu prog in
+  if observe then begin
+    Cpu.enable_profile cpu;
+    Cpu.enable_callgraph cpu
+  end;
+  cpu.Cpu.deadline <- deadline;
+  match Cpu.run ?fuel cpu ~at:(Cpu.label_addr image "GO") with
+  | () -> Alcotest.fail "expected a trap"
+  | exception Cpu.Trap { kind; pc; message; _ } ->
+      let s = cpu.Cpu.stats in
+      ( (Cpu.trap_kind_name kind, pc, message),
+        [ s.Cpu.cycles; s.Cpu.instructions; s.Cpu.movs; s.Cpu.mem_traffic; s.Cpu.calls;
+          s.Cpu.tcalls; s.Cpu.svcs; s.Cpu.stack_high; s.Cpu.bind_high ] )
+
+let test_trap_parity () =
+  let open Isa in
+  let loop = Asm.[ Label "GO"; Instr (Jmpa (L "GO")) ] in
+  List.iter
+    (fun (what, expected, run) ->
+      let plain, plain_stats = run ~observe:false in
+      let observed, observed_stats = run ~observe:true in
+      Alcotest.(check (triple string int string)) (what ^ ": unobserved") expected plain;
+      Alcotest.(check (triple string int string)) (what ^ ": observed") expected observed;
+      Alcotest.(check (list int)) (what ^ ": stats") plain_stats observed_stats)
+    [
+      ( "wild JMPI",
+        ("bad-address", 99999, "pc out of code range"),
+        trap_of Asm.[ Label "GO"; Instr (Mov (Reg 1, Imm 99999)); Instr (Jmpi (Reg 1)) ] );
+      ( "memory read out of range",
+        ("bad-address", 2, "memory read out of range: 50000000"),
+        trap_of
+          Asm.[ Label "GO"; Instr (Mov (Reg 1, Imm 7)); Instr (Mov (Reg 2, Mabs 50_000_000)) ] );
+      ( "control-stack overflow",
+        ("control-stack-overflow", 1, "control stack overflow"),
+        trap_of Asm.[ Label "GO"; Instr (Push (Imm 1)); Instr (Jmpa (L "GO")) ] );
+      ("fuel exhaustion", ("fuel-exhausted", 1, "fuel exhausted after 1000 cycles"), trap_of ~fuel:1000 loop);
+      ( "deadline expiry",
+        ("deadline-expired", 1, "watchdog cycle deadline expired"),
+        trap_of ~deadline:500 loop );
+    ]
+
 let test_instruction_metrics () =
   let open Isa in
   (* sizes: 1-3 words; complex operands cost extension words *)
@@ -618,6 +664,7 @@ let () =
           Alcotest.test_case "double width" `Quick test_cpu_double_width;
           Alcotest.test_case "mabs and jmptag" `Quick test_cpu_mabs_and_jmptag;
           Alcotest.test_case "vadd" `Quick test_cpu_vadd;
+          Alcotest.test_case "trap parity" `Quick test_trap_parity;
           Alcotest.test_case "stack overflow fault" `Quick test_cpu_stack_overflow_fault;
           Alcotest.test_case "instruction metrics" `Quick test_instruction_metrics;
           Alcotest.test_case "listing format" `Quick test_asm_listing_format;

@@ -238,6 +238,140 @@ let test_profiler_attribution () =
   check_int "reset_profile zeroes attribution" 0
     (List.fold_left (fun a f -> a + f.Cpu.f_cycles) 0 (Cpu.profile_by_function cpu))
 
+(* Observer parity -------------------------------------------------------- *)
+
+(* The observer (profile and shadow call stack) watches the engine; it
+   must not steer it.  Every corpus program runs in two fresh worlds, one
+   unobserved and one with both observers on: the values, the output and
+   all nine statistics must agree, and the folded stacks must account
+   for every cycle. *)
+
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
+
+let corpus_files () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+  |> List.sort compare
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let stats_fields (s : Cpu.stats) =
+  [
+    ("cycles", s.Cpu.cycles); ("instructions", s.Cpu.instructions); ("movs", s.Cpu.movs);
+    ("mem_traffic", s.Cpu.mem_traffic); ("calls", s.Cpu.calls); ("tcalls", s.Cpu.tcalls);
+    ("svcs", s.Cpu.svcs); ("stack_high", s.Cpu.stack_high); ("bind_high", s.Cpu.bind_high);
+  ]
+
+(* A corpus program in a fresh world: what each form printed (or the
+   error that stopped it), then the world's output. *)
+let run_corpus ?(arm = fun (_ : C.t) -> ()) path =
+  S1_serve.Serve.reset_compile_state ();
+  let c = C.create () in
+  Cpu.reset_stats c.C.rt.Rt.cpu;
+  arm c;
+  let forms, tab = Reader.parse_string_located ~file:path (read_file path) in
+  c.C.locs <- Some tab;
+  let rec go acc = function
+    | [] -> List.rev acc
+    | f :: rest -> (
+        match C.eval c f with
+        | w -> go (C.print_value c w :: acc) rest
+        | exception e -> List.rev (("raised " ^ Printexc.to_string e) :: acc))
+  in
+  let printed = go [] forms in
+  (c, printed @ [ Rt.output c.C.rt ])
+
+let test_observer_parity () =
+  let files = corpus_files () in
+  check_bool "corpus present" true (List.length files >= 8);
+  List.iter
+    (fun file ->
+      let path = Filename.concat corpus_dir file in
+      let plain, plain_out = run_corpus path in
+      let observed, observed_out =
+        run_corpus path ~arm:(fun c ->
+            Cpu.enable_profile c.C.rt.Rt.cpu;
+            Cpu.enable_callgraph c.C.rt.Rt.cpu)
+      in
+      Alcotest.(check (list string)) (file ^ ": values and output") plain_out observed_out;
+      let stats c = stats_fields c.C.rt.Rt.cpu.Cpu.stats in
+      Alcotest.(check (list (pair string int))) (file ^ ": stats") (stats plain) (stats observed);
+      let cpu = observed.C.rt.Rt.cpu in
+      check_int (file ^ ": folded stacks sum to cycles") cpu.Cpu.stats.Cpu.cycles
+        (List.fold_left (fun a (_, n) -> a + n) 0 (Cpu.folded_stacks cpu)))
+    files
+
+(* Allocation attribution: each allocating service counts one
+   heap.site.<file:line> (or heap.site.unattributed) against the source
+   line covering the trapping pc.  The runtime renders each pc's name
+   once; this recomputes it on every allocation, as a reference. *)
+let test_heap_site_counters () =
+  let allocating =
+    S1_runtime.Svc.[ cons; single_flonum_cons; double_flonum_cons; closure_cons; vector_cons;
+                     make_rest; box_integer ]
+  in
+  let sites = ref 0 in
+  List.iter
+    (fun file ->
+      let path = Filename.concat corpus_dir file in
+      let expected = Hashtbl.create 16 in
+      Obs.reset ();
+      ignore
+        (run_corpus path ~arm:(fun c ->
+             let cpu = c.C.rt.Rt.cpu in
+             let inner = cpu.Cpu.service in
+             cpu.Cpu.service <-
+               (fun cpu id ->
+                 if List.mem id allocating then begin
+                   let name =
+                     match Cpu.provenance_at cpu cpu.Cpu.pc with
+                     | Some { Asm.m_loc = Some l; _ } -> "heap.site." ^ S1_loc.Loc.line_key l
+                     | _ -> "heap.site.unattributed"
+                   in
+                   Hashtbl.replace expected name
+                     (1 + Option.value ~default:0 (Hashtbl.find_opt expected name))
+                 end;
+                 inner cpu id)));
+      let got =
+        List.filter (fun (k, _) -> String.starts_with ~prefix:"heap.site." k) (Obs.counters ())
+      in
+      sites := !sites + List.length got;
+      Alcotest.(check (list (pair string int)))
+        (file ^ ": heap.site counters")
+        (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) expected []))
+        got)
+    (corpus_files ());
+  check_bool "the corpus allocates somewhere" true (!sites > 0)
+
+(* Observer goldens ------------------------------------------------------- *)
+
+(* s1lc's observer outputs, pinned byte for byte: --profile and
+   --annotate (profile only), and --profile with --folded and
+   --trace-events (profile and shadow stack).  ctak's CATCH/THROW
+   exercises the shadow stack's unwind.  Paths are relative to the test
+   directory, where dune runs this. *)
+let s1lc = "../bin/s1lc.exe"
+
+let run_s1lc args =
+  let out = Filename.temp_file "s1lc" ".out" in
+  let rc = Sys.command (Filename.quote_command s1lc ~stdout:out args) in
+  check_int ("exit status of s1lc " ^ String.concat " " args) 0 rc;
+  let text = read_file out in
+  Sys.remove out;
+  text
+
+let test_observer_golden (name, file) () =
+  let golden ext = read_file (Filename.concat "golden" ("observers-" ^ name ^ ext)) in
+  check_str "--profile --annotate" (golden ".profile.out") (run_s1lc [ "--profile"; "--annotate"; file ]);
+  let folded = Filename.temp_file "s1lc" ".folded" in
+  let events = Filename.temp_file "s1lc" ".json" in
+  check_str "--profile with the shadow stack" (golden ".cg.out")
+    (run_s1lc [ "--profile"; "--folded"; folded; "--trace-events"; events; file ]);
+  check_str "--folded" (golden ".folded") (read_file folded);
+  check_str "--trace-events" (golden ".events.json") (read_file events);
+  Sys.remove folded;
+  Sys.remove events
+
 (* Pipeline integration: compiling through the driver populates the
    global registry with the spans and packing statistics the metrics
    export promises. *)
@@ -292,6 +426,15 @@ let () =
         ] );
       ( "profiler",
         [ Alcotest.test_case "attribution" `Quick test_profiler_attribution ] );
+      ( "observer",
+        [
+          Alcotest.test_case "parity over the corpus" `Quick test_observer_parity;
+          Alcotest.test_case "heap.site counters" `Quick test_heap_site_counters;
+          Alcotest.test_case "golden testfn" `Quick
+            (test_observer_golden ("testfn", "../examples/testfn.lisp"));
+          Alcotest.test_case "golden ctak" `Quick
+            (test_observer_golden ("ctak", "golden/ctak.lisp"));
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "metrics counters" `Quick test_pipeline_metrics;

@@ -242,6 +242,52 @@ let prop_numerics_field =
       let b = Numerics.normalize_ratio (Bignum.of_int bn) (Bignum.of_int bd) in
       Numerics.eql (Numerics.sub (Numerics.add a b) b) a)
 
+(* The generic arithmetic services answer two fixnums without the tower;
+   for any pair of fixnum words, the boundaries included, each leaves in
+   R0 the word the Numerics path leaves — the same immediate, or (past a
+   boundary) a bignum of the same value. *)
+let prop_fixnum_fast_paths =
+  let module Word = S1_machine.Word in
+  let module Cpu = S1_machine.Cpu in
+  let rt = Rt.create () in
+  let o = rt.Rt.obj and cpu = rt.Rt.cpu in
+  let dec = Numerics.decode o in
+  let arith f a b = Numerics.encode o (f (dec a) (dec b)) in
+  let cmp rel a b = Rt.bool_word rt (rel (Numerics.compare_ (dec a) (dec b)) 0) in
+  let services =
+    [
+      (Svc.generic_add, arith Numerics.add);
+      (Svc.generic_sub, arith Numerics.sub);
+      (Svc.generic_lss, cmp ( < ));
+      (Svc.generic_leq, cmp ( <= ));
+      (Svc.generic_gtr, cmp ( > ));
+      (Svc.generic_geq, cmp ( >= ));
+      (Svc.generic_num_eq, fun a b -> Rt.bool_word rt (Numerics.equal_value (dec a) (dec b)));
+      (Svc.generic_zerop, fun a _ -> Rt.bool_word rt (Numerics.zerop (dec a)));
+    ]
+  in
+  let edges =
+    [ Word.fixnum_min; Word.fixnum_min + 1; -1; 0; 1; Word.fixnum_max - 1; Word.fixnum_max ]
+  in
+  let fixnum = QCheck2.Gen.(oneof [ int_range Word.fixnum_min Word.fixnum_max; oneofl edges ]) in
+  QCheck2.Test.make ~count:1000 ~name:"fixnum fast paths leave the Numerics word"
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair fixnum fixnum)
+    (fun (a, b) ->
+      let wa = Obj.fixnum a and wb = Obj.fixnum b in
+      List.for_all
+        (fun (id, reference) ->
+          Cpu.set_reg cpu 0 wa;
+          Cpu.set_reg cpu 1 wb;
+          cpu.Cpu.service cpu id;
+          let want = reference wa wb in
+          let got = Cpu.get_reg cpu 0 in
+          got = want
+          || Obj.tag_of want = S1_machine.Tags.Bignum
+             && Obj.tag_of got = S1_machine.Tags.Bignum
+             && Numerics.eql (dec got) (dec want))
+        services)
+
 (* Booted world ----------------------------------------------------------- *)
 
 let test_rt_intern () =
@@ -387,6 +433,7 @@ let () =
           Alcotest.test_case "rounding" `Quick test_numerics_rounding;
           Alcotest.test_case "expt" `Quick test_numerics_expt;
           QCheck_alcotest.to_alcotest prop_numerics_field;
+          QCheck_alcotest.to_alcotest prop_fixnum_fast_paths;
         ] );
       ( "rt",
         [
