@@ -67,9 +67,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;
   mutable bad_function_svc : int;
-  mutable svc_frames : string array;
-      (** shadow-frame name per service id ("" for none): the observer
-          brackets those SVC traps with a synthetic call-path frame *)
   mutable profile : profile option;
   mutable callgraph : callgraph option;
   mutable symbols : (int * int * string) list;
@@ -977,11 +974,10 @@ let float_unop cpu (op : Isa.unop) x =
 
 (* [decode cpu pc i] is the closure that executes instruction [i] at
    code address [pc]: it counts the instruction, adds its base cycles,
-   does the work and sets the next pc, exactly as the ISA defines.  The
-   hot forms (register, immediate and frame-slot operands; resolved jump
-   targets) get closures of their own; every other form goes through the
-   decoded operand closures above.  Nothing here consults the observer:
-   profiling and the shadow call stack live in {!observed_step}. *)
+   does the work and sets the next pc, exactly as the ISA defines.
+   Operands go through the decoded operand closures above.  Nothing here
+   consults the observer: profiling and the shadow call stack live in
+   {!observed_step}. *)
 
 let[@inline] tick s n =
   s.instructions <- s.instructions + 1;
@@ -993,7 +989,6 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
   let s = cpu.stats and regs = cpu.regs and mem = cpu.mem in
   let base = Isa.base_cycles i in
   let next = pc + 1 in
-  let mask = Word.mask in
   (* a taken branch: resolved targets are plain addresses; a label the
      assembler left unresolved traps only when the branch is taken *)
   let take (t : Isa.target) : unit -> unit =
@@ -1002,43 +997,6 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
     | L l -> fun () -> trap cpu Illegal_instruction "unresolved target %s" l
   in
   match i with
-  | Mov (Reg d, Reg r) ->
-      fun () ->
-        tick s base;
-        s.movs <- s.movs + 1;
-        regs.(d) <- regs.(r) land mask;
-        cpu.pc <- next
-  | Mov (Reg d, Imm v) ->
-      let v = v land mask in
-      fun () ->
-        tick s base;
-        s.movs <- s.movs + 1;
-        regs.(d) <- v;
-        cpu.pc <- next
-  | Mov (Reg d, Ind (r, k)) ->
-      fun () ->
-        tick s base;
-        s.movs <- s.movs + 1;
-        charge s 1;
-        regs.(d) <- Mem.read mem (regs.(r) + k) land mask;
-        cpu.pc <- next
-  | Mov (Ind (r, k), Reg x) ->
-      fun () ->
-        tick s base;
-        s.movs <- s.movs + 1;
-        let v = regs.(x) in
-        charge s 1;
-        Mem.write mem (regs.(r) + k) v;
-        cpu.pc <- next
-  | Mov (Ind (r, k), Ind (x, j)) ->
-      fun () ->
-        tick s base;
-        s.movs <- s.movs + 1;
-        charge s 1;
-        let v = Mem.read mem (regs.(x) + j) in
-        charge s 1;
-        Mem.write mem (regs.(r) + k) v;
-        cpu.pc <- next
   | Mov (d, src) ->
       let rd = reader cpu src and wr = writer cpu d in
       fun () ->
@@ -1071,14 +1029,6 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
         tick s base;
         let v = rd () in
         wr (Word.make_ptr ~tag ~addr:(Word.addr_of v));
-        cpu.pc <- next
-  | Bin (((ADD | SUB) as op), S, Reg d, Reg r, Imm v) ->
-      (* two's complement modulo 2^36: adding the negated immediate is
-         Word.sub of the masked one *)
-      let v = if op = ADD then v else -v in
-      fun () ->
-        tick s base;
-        regs.(d) <- (regs.(r) + v) land mask;
         cpu.pc <- next
   | Bin (op, S, d, s1, s2) ->
       let x = reader cpu s1 and y = reader cpu s2 and wr = writer cpu d in
@@ -1152,12 +1102,6 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
             wr (Float36.encode_double (float_unop cpu op x))
         | _ -> fail cpu "unsupported double-width unop");
         cpu.pc <- next
-  | Jmp (c, Reg r, Imm v, Abs n) ->
-      let y = Word.to_signed (v land mask) in
-      fun () ->
-        tick s base;
-        let x = Word.to_signed regs.(r) in
-        cpu.pc <- (if Isa.cond_holds c (compare x y) then n else next)
   | Jmp (c, s1, s2, t) ->
       let x = reader cpu s1 and y = reader cpu s2 and take = take t in
       fun () ->
@@ -1172,33 +1116,18 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
         let x = Float36.decode_single (x ()) in
         let y = Float36.decode_single (y ()) in
         if Isa.cond_holds c (compare x y) then take () else cpu.pc <- next
-  | Jmpz (c, Reg r, Abs n) ->
-      fun () ->
-        tick s base;
-        let x = Word.to_signed regs.(r) in
-        cpu.pc <- (if Isa.cond_holds c (compare x 0) then n else next)
   | Jmpz (c, src, t) ->
       let rd = reader cpu src and take = take t in
       fun () ->
         tick s base;
         let x = Word.to_signed (rd ()) in
         if Isa.cond_holds c (compare x 0) then take () else cpu.pc <- next
-  | Jmptag (c, Reg r, tag, Abs n) ->
-      let tag = Tags.to_int tag in
-      fun () ->
-        tick s base;
-        let x = Word.tag_of regs.(r) in
-        cpu.pc <- (if Isa.cond_holds c (compare x tag) then n else next)
   | Jmptag (c, src, tag, t) ->
       let rd = reader cpu src and take = take t and tag = Tags.to_int tag in
       fun () ->
         tick s base;
         let x = Word.tag_of (rd ()) in
         if Isa.cond_holds c (compare x tag) then take () else cpu.pc <- next
-  | Jmpa (Abs n) ->
-      fun () ->
-        tick s base;
-        cpu.pc <- n
   | Jmpa t ->
       let take = take t in
       fun () ->
@@ -1215,11 +1144,6 @@ let decode cpu pc (i : Isa.instr) : unit -> unit =
         tick s base;
         regs.(r) <- link;
         take ()
-  | Push (Reg r) ->
-      fun () ->
-        tick s base;
-        push cpu regs.(r);
-        cpu.pc <- next
   | Push src ->
       let rd = reader cpu src in
       fun () ->
@@ -1321,7 +1245,6 @@ let create ?mem () =
       stats = fresh_stats ();
       service = (fun _ _ -> ());
       bad_function_svc = -1;
-      svc_frames = [||];
       profile = None;
       callgraph = None;
       symbols = [];
@@ -1383,25 +1306,14 @@ let observe_entry cpu ~entry ~tail =
    (base plus vector per-element costs, plus whatever a service's nested
    run adds) charges to the fetched PC in the profile; on the shadow
    stack it charges to the call path current at fetch time, so a CALL's
-   own cycles go to the caller, minus what nested runs already charged.
-   A service trap runs inside a synthetic "svc:" frame when the runtime
-   named one, so host-side work (allocation, generic arithmetic, THROW)
-   carries call-path context; truncation (not a blind pop) keeps this
-   correct when the handler THROWs to a shallower frame. *)
+   own cycles go to the caller, minus what nested runs already charged. *)
 let observed_step cpu =
   let pc = cpu.pc in
   let i = cpu.code.(pc) in
   let s = cpu.stats in
   let cycles0 = s.cycles and calls0 = s.calls and tcalls0 = s.tcalls in
   let cg_cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
-  let op = cpu.ops.(pc) in
-  (match (i, cpu.callgraph) with
-  | Svc id, Some cg when id >= 0 && id < Array.length cpu.svc_frames && cpu.svc_frames.(id) <> ""
-    ->
-      let depth = cg.cg_depth in
-      cg_push cg ~name:cpu.svc_frames.(id) ~fp:cpu.regs.(Isa.fp);
-      Fun.protect ~finally:(fun () -> shadow_truncate cpu depth) op
-  | _ -> op ());
+  cpu.ops.(pc) ();
   (match i with
   | Call _ when s.calls > calls0 -> observe_entry cpu ~entry:cpu.pc ~tail:false
   | Tcall _ when s.tcalls > tcalls0 -> observe_entry cpu ~entry:cpu.pc ~tail:true

@@ -81,10 +81,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;  (** runtime service trap handler *)
   mutable bad_function_svc : int;  (** service invoked by CALL on a non-function *)
-  mutable svc_frames : string array;
-      (** per service id, the synthetic shadow frame the observer pushes
-          around that SVC trap (["svc:CONS"]); [""] or out of range for
-          none.  Set by the runtime at boot. *)
   mutable profile : profile option;  (** per-PC attribution; None = off (zero cost) *)
   mutable callgraph : callgraph option;  (** call-path attribution; None = off *)
   mutable symbols : (int * int * string) list;
@@ -203,9 +199,7 @@ val profile_by_function : t -> func_profile list
     With the callgraph enabled, the observer {!run} selects maintains a
     shadow call stack beside the CALL/TCALL/RET microcode and attributes
     every cycle to the full call path current at fetch time (so a CALL's
-    own cycles charge to the caller).  Each SVC trap the runtime named in
-    {!t.svc_frames} runs inside a synthetic frame of that name.
-    Invariants:
+    own cycles charge to the caller).  Invariants:
 
     - a tail call replaces the top shadow frame: tail recursion adds no
       shadow depth, mirroring the machine's O(1)-stack tail calls;

@@ -47,11 +47,6 @@ let err fmt_str = Printf.ksprintf (fun s -> raise (Lisp_error s)) fmt_str
    module initialization only, so dispatch reads it without a lock. *)
 let handlers : (t -> unit) option array ref = ref [||]
 
-(* Shadow-frame name per service id: "svc:CONS" for a runtime service,
-   "" for an id the runtime does not handle (the interpreter's
-   trampoline).  Every world's CPU shares it ({!Cpu.t.svc_frames}). *)
-let frame_names : string array ref = ref [||]
-
 (* Symbols -------------------------------------------------------------------- *)
 
 let intern rt name =
@@ -273,27 +268,13 @@ let certify_word rt w =
    ({!load_native}), so booting writes only to the world. *)
 type native = { n_name : string; n_min : int; n_max : int; n_svc : int }
 
-(* Shadow-frame label for a service trap: "*:SQ-CONS" -> "svc:CONS". *)
-let svc_frame_name id =
-  let name = Isa.svc_name id in
-  let name =
-    let prefix = "*:SQ-" in
-    if String.length name > String.length prefix
-       && String.sub name 0 (String.length prefix) = prefix
-    then String.sub name (String.length prefix) (String.length name - String.length prefix)
-    else name
-  in
-  "svc:" ^ name
-
 let set_handler id f =
   let n = Array.length !handlers in
   if id >= n then begin
     let cap = max (id + 1) (2 * n) in
-    handlers := Array.init cap (fun i -> if i < n then !handlers.(i) else None);
-    frame_names := Array.init cap (fun i -> if i < n then !frame_names.(i) else "")
+    handlers := Array.init cap (fun i -> if i < n then !handlers.(i) else None)
   end;
-  !handlers.(id) <- Some f;
-  !frame_names.(id) <- svc_frame_name id
+  !handlers.(id) <- Some f
 
 let define_native ~name ~min_args ~max_args impl =
   let id = Isa.register_svc (Printf.sprintf "*:SQ-NATIVE-%s" name) in
@@ -451,6 +432,18 @@ let do_throw rt tag value =
   end
 
 (* Service handlers -------------------------------------------------------------- *)
+
+(* Shadow-frame label for a service trap: "*:SQ-CONS" -> "svc:CONS". *)
+let svc_frame_name id =
+  let name = Isa.svc_name id in
+  let name =
+    let prefix = "*:SQ-" in
+    if String.length name > String.length prefix
+       && String.sub name 0 (String.length prefix) = prefix
+    then String.sub name (String.length prefix) (String.length name - String.length prefix)
+    else name
+  in
+  "svc:" ^ name
 
 let r0 rt = Cpu.get_reg rt.cpu 0
 let r1 rt = Cpu.get_reg rt.cpu 1
@@ -687,7 +680,6 @@ let create ?config () =
         if pc < cpu.Cpu.code_len then Hashtbl.replace sites pc name;
         name
   in
-  cpu.Cpu.svc_frames <- !frame_names;
   cpu.Cpu.service <-
     (fun _cpu id ->
       let table = !handlers in
@@ -698,13 +690,25 @@ let create ?config () =
           (* surface runtime-level faults as Lisp error conditions;
              resource exhaustion becomes a machine trap carrying the pc
              and source provenance of the faulting instruction *)
-          try f rt with
-          | Numerics.Not_a_number what -> err "not a number: %s" what
-          | Division_by_zero -> err "division by zero"
-          | Heap.Heap_exhausted { requested } ->
-              Cpu.trap cpu Cpu.Heap_exhaustion
-                "heap exhausted (requested %d words after GC)" requested
-          | Failure msg -> err "%s" msg)
+          let dispatch () =
+            try f rt with
+            | Numerics.Not_a_number what -> err "not a number: %s" what
+            | Division_by_zero -> err "division by zero"
+            | Heap.Heap_exhausted { requested } ->
+                Cpu.trap cpu Cpu.Heap_exhaustion
+                  "heap exhausted (requested %d words after GC)" requested
+            | Failure msg -> err "%s" msg
+          in
+          if Cpu.callgraph_on cpu then begin
+            (* a synthetic shadow frame per service, so host-side work
+               (allocation, generic arithmetic, THROW) carries call-path
+               context; truncation (not a blind pop) keeps this correct
+               even when the handler THROWs to a shallower frame *)
+            let depth = Cpu.shadow_depth cpu in
+            Cpu.shadow_push cpu (svc_frame_name id);
+            Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) dispatch
+          end
+          else dispatch ())
       | None -> err "unknown service %s" (Isa.svc_name id));
   cpu.Cpu.bad_function_svc <- Svc.wrong_type_of_function;
   rt
